@@ -45,7 +45,23 @@ def _die(message: str, code: int) -> None:
     sys.exit(code)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group. The loaders and analyses recurse on the Python
+    stack over nested input; input too deep for it is a usage error (exit
+    2) with one line on stderr, not a traceback under the findings code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except RecursionError:
+            _die(
+                "input nested too deeply: it exceeds the Python recursion "
+                f"limit of {sys.getrecursionlimit()} frames",
+                2,
+            )
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Strategic term rewriting with static analyses."""
 

@@ -1,13 +1,16 @@
 """File formats: signature declarations and term s-expressions.
 
-Both readers track line and column so error messages point at the
-offending token. The term reader and writer are iterative; term files
-routinely hold trees deeper than the interpreter stack.
+Both readers report line and column so error messages point at the
+offending token: the signature reader counts lines as it goes, the term
+reader works them out from a token's offset only when it raises. The
+term reader and writer are iterative and linear in the size of the term;
+term files routinely hold trees deeper than the interpreter stack.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from typing import NoReturn, Optional
 
 from .errors import ParseError, SignatureError
 from .terms import Lit, Node, Signature, Symbol, Term
@@ -110,155 +113,132 @@ def load_signature(path: str) -> Signature:
 # A bare constructor name is shorthand for its nullary application, so
 # (Succ Zero) reads the same as (Succ (Zero)).
 
-_BARE_END = set("() \t\r\n")
+#: One token per match, and every character in some token, so the
+#: running sum of token lengths is each token's offset: whitespace, a
+#: `;` comment, a parenthesis, a string literal (its closing quote is
+#: missing when the string is unterminated), or a bare atom. Only the
+#: first character of an atom is restricted; `;` and `"` may follow.
+_TOKEN = re.compile(
+    r'[ \t\r\n]+|;[^\n]*|[()]|"(?:[^"\\\n]|\\[\s\S])*"?|[^() \t\r\n;"][^() \t\r\n]*'
+)
+_STRING = re.compile(r'"((?:[^"\\\n]|\\[\s\S])*)"')
+_ESCAPE = re.compile(r"\\([\s\S])")
+_SKIP = frozenset(" \t\r\n;")
 
 
-def _tokenize_term(text: str):
-    """Yield (kind, value, line, col); kind in {'(', ')', 'atom', 'str'}."""
-    i, n = 0, len(text)
-    line, col = 1, 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield (ch, ch, line, col)
-            i += 1
-            col += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError(
-                        "unterminated string literal", line=start_line, col=start_col
-                    )
-                if text[j] == "\\" and j + 1 < n:
-                    nxt = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError(
-                    "unterminated string literal", line=start_line, col=start_col
-                )
-            col += j + 1 - i
-            i = j + 1
-            yield ("str", "".join(buf), start_line, start_col)
-        else:
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j] not in _BARE_END:
-                j += 1
-            yield ("atom", text[i:j], start_line, start_col)
-            col += j - i
-            i = j
-
-
-def _atom_to_term(tok: str, line: int, col: int) -> Term:
-    """A bare atom is either a `value:Sort` literal or a nullary node."""
-    if ":" in tok:
-        payload, sort = tok.rsplit(":", 1)
-        if not sort:
-            raise ParseError(f"missing sort tag in literal {tok!r}", line=line, col=col)
-        try:
-            value = int(payload)
-        except ValueError:
-            try:
-                value = float(payload)
-            except ValueError:
-                raise ParseError(
-                    f"bad literal payload {payload!r}", line=line, col=col
-                ) from None
-        return Lit(value, sort)
-    return Node(tok)
+def _unescape(m: re.Match) -> str:
+    c = m.group(1)
+    return "\n" if c == "n" else "\t" if c == "t" else c
 
 
 def parse_term(text: str) -> Term:
-    """Read exactly one term; trailing input is an error."""
-    tokens = list(_tokenize_term(text))
-    # A string literal's sort tag arrives as a separate ':Sort' atom
-    # right after the quotes (`"abc":Name`, no space). Stitch the pairs.
-    stitched: list[tuple[str, object, int, int]] = []
-    i = 0
-    while i < len(tokens):
-        kind, value, line, col = tokens[i]
-        if kind == "str":
-            if (
-                i + 1 < len(tokens)
-                and tokens[i + 1][0] == "atom"
-                and tokens[i + 1][1].startswith(":")
-            ):
-                sort = tokens[i + 1][1][1:]
-                if not sort:
-                    raise ParseError("missing sort tag after string", line=line, col=col)
-                stitched.append(("lit", Lit(value, sort), line, col))
-                i += 2
-                continue
-            raise ParseError(
-                "string literal needs a :Sort tag", line=line, col=col
-            )
-        stitched.append((kind, value, line, col))
-        i += 1
+    """Read exactly one term; trailing input is an error.
 
-    if not stitched:
-        raise ParseError("empty input, expected a term")
-
-    # Iterative build: a stack of (constr, children, line, col) frames.
-    stack: list[tuple[str, list[Term], int, int]] = []
-    result: Optional[Term] = None
-    pos = 0
-
-    def push_value(t: Term, line: int, col: int):
-        nonlocal result
-        if stack:
-            stack[-1][1].append(t)
-        elif result is None:
-            result = t
-        else:
-            raise ParseError("trailing input after term", line=line, col=col)
-
-    while pos < len(stitched):
-        kind, value, line, col = stitched[pos]
-        pos += 1
-        if kind == "(":
-            if pos >= len(stitched) or stitched[pos][0] != "atom":
-                raise ParseError("expected constructor after '('", line=line, col=col)
-            head = stitched[pos]
-            if ":" in head[1]:
-                raise ParseError(
-                    f"literal {head[1]!r} cannot head an application",
-                    line=head[2],
-                    col=head[3],
-                )
-            stack.append((head[1], [], line, col))
-            pos += 1
-        elif kind == ")":
+    One pass over the tokens builds the term with an explicit stack of
+    open applications. Positions are worked out only for an error.
+    """
+    tokens = _TOKEN.findall(text)
+    top: list[Term] = []
+    kids = top  # children of the innermost open application
+    stack: list[tuple[str, list[Term], int]] = []  # (constr, kids, '(' index)
+    opened = -1  # index of a '(' still waiting for its constructor
+    string: Optional[str] = None  # a string literal waiting for its :Sort tag
+    string_at = 0
+    for k, tok in enumerate(tokens):
+        c = tok[0]
+        if c in _SKIP:
+            continue
+        if string is not None:
+            if c != ":":
+                _fail(text, tokens, "string literal needs a :Sort tag", string_at)
+            if len(tok) == 1:
+                _fail(text, tokens, "missing sort tag after string", string_at)
+            value: Term = Lit(string, tok[1:])
+            string = None
+            at = string_at
+        elif opened >= 0:
+            if c in '()"':
+                _fail(text, tokens, "expected constructor after '('", opened)
+            if ":" in tok:
+                _fail(text, tokens, f"literal {tok!r} cannot head an application", k)
+            kids = []
+            stack.append((tok, kids, opened))
+            opened = -1
+            continue
+        elif c == "(":
+            opened = k
+            continue
+        elif c == ")":
             if not stack:
-                raise ParseError("unmatched ')'", line=line, col=col)
-            constr, children, oline, ocol = stack.pop()
-            push_value(Node(constr, tuple(children)), oline, ocol)
-        elif kind == "lit":
-            push_value(value, line, col)
-        else:  # atom
-            push_value(_atom_to_term(value, line, col), line, col)
-
+                _fail(text, tokens, "unmatched ')'", k)
+            constr, children, at = stack.pop()
+            value = Node(constr, tuple(children))
+            kids = stack[-1][1] if stack else top
+        elif c == '"':
+            m = _STRING.fullmatch(tok)
+            if m is None:
+                _fail(text, tokens, "unterminated string literal", k)
+            string = m.group(1)
+            if "\\" in string:
+                string = _ESCAPE.sub(_unescape, string)
+            string_at = k
+            continue
+        elif ":" in tok:
+            payload, sort = tok.rsplit(":", 1)
+            if not sort:
+                _fail(text, tokens, f"missing sort tag in literal {tok!r}", k)
+            try:
+                # int() never accepts '.', so skip its exception for floats
+                num = float(payload) if "." in payload else int(payload)
+            except ValueError:
+                try:
+                    num = float(payload)
+                except ValueError:
+                    _fail(text, tokens, f"bad literal payload {payload!r}", k)
+            value = Lit(num, sort)
+            at = k
+        else:
+            value = Node(tok)
+            at = k
+        kids.append(value)
+        if kids is top and len(top) > 1:
+            _fail(text, tokens, "trailing input after term", at)
+    if string is not None:
+        _fail(text, tokens, "string literal needs a :Sort tag", string_at)
+    if opened >= 0:
+        _fail(text, tokens, "expected constructor after '('", opened)
     if stack:
-        constr, _, line, col = stack[-1]
-        raise ParseError(f"unclosed '(' for {constr!r}", line=line, col=col)
-    assert result is not None
-    return result
+        constr, _, at = stack[-1]
+        _fail(text, tokens, f"unclosed '(' for {constr!r}", at)
+    if not top:
+        raise ParseError("empty input, expected a term")
+    return top[0]
+
+
+def _fail(text: str, tokens: list[str], message: str, k: int) -> NoReturn:
+    """Raise the error for input whose first problem in reading order is
+    `message` at token k. A string literal's own errors come first,
+    wherever they are: an unterminated string, then a string without its
+    :Sort tag (separated from it by whitespace or comments at most)."""
+    strings = [j for j, tok in enumerate(tokens) if tok[0] == '"']
+    bad = [j for j in strings if _STRING.fullmatch(tokens[j]) is None]
+    if bad:
+        message, k = "unterminated string literal", bad[0]
+    else:
+        for j in strings:
+            i = j + 1
+            while i < len(tokens) and tokens[i][0] in _SKIP:
+                i += 1
+            tag = tokens[i] if i < len(tokens) else ""
+            if not tag.startswith(":"):
+                message, k = "string literal needs a :Sort tag", j
+                break
+            if tag == ":":
+                message, k = "missing sort tag after string", j
+                break
+    at = sum(map(len, tokens[:k]))
+    line = text.count("\n", 0, at) + 1
+    raise ParseError(message, line=line, col=at - text.rfind("\n", 0, at))
 
 
 def load_term(path: str) -> Term:

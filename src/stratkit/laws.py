@@ -486,10 +486,7 @@ def find_nonlaw_counterexamples(
     results = []
     for nonlaw in NONLAWS:
         found: Optional[str] = None
-        candidates = sorted(
-            _tuples(universe, nonlaw.slots), key=lambda sized: sized[0]
-        )
-        for _total, strategies in candidates:
+        for strategies in _candidates(universe, nonlaw.slots):
             for t in terms:
                 left = _eval(nonlaw.lhs(*strategies), t, sig, fuel)
                 right = _eval(nonlaw.rhs(*strategies), t, sig, fuel)
@@ -509,16 +506,28 @@ def find_nonlaw_counterexamples(
     return results
 
 
-def _tuples(universe, slots):
-    if slots == 2:
-        for na, a in universe:
-            for nb, b in universe:
-                yield na + nb, (a, b)
-    else:
-        for na, a in universe:
-            for nb, b in universe:
-                for nc, c in universe:
-                    yield na + nb + nc, (a, b, c)
+def _candidates(universe, slots):
+    """Every `slots`-tuple over the size-tagged `universe`, by ascending
+    total size and, within one total, in product order: the order of a
+    stable sort of the product by size, generated lazily, because the
+    first counterexample sits among the smallest of about 1.7M triples."""
+    by_size: dict[int, list[Strategy]] = {}
+    for n, s in universe:
+        by_size.setdefault(n, []).append(s)
+    lo, hi = min(by_size), max(by_size)
+
+    def fill(total, k):
+        if k == 1:
+            for s in by_size.get(total, ()):
+                yield (s,)
+            return
+        for n, s in universe:
+            if (k - 1) * lo <= total - n <= (k - 1) * hi:
+                for rest in fill(total - n, k - 1):
+                    yield (s,) + rest
+
+    for total in range(slots * lo, slots * hi + 1):
+        yield from fill(total, slots)
 
 
 def _show_outcome(o: Outcome) -> str:

@@ -14,6 +14,8 @@ term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Optional, Union
 
 from .errors import EngineError, KindError
@@ -44,6 +46,9 @@ class MonoidSpec:
     name: str
     unit: object
     combine: Callable[[object, object], object]
+    #: combines a list of values at once, equal to folding them into
+    #: `unit` with `combine` from the left, in time linear in their size
+    fold: Callable[[list], object]
     #: value kind: int | float | number | list
     kind: str
 
@@ -66,11 +71,18 @@ def _max_combine(a, b):
 
 
 MONOIDS: dict[str, MonoidSpec] = {
-    "int-sum": MonoidSpec("int-sum", 0, lambda a, b: a + b, "int"),
-    "count": MonoidSpec("count", 0, lambda a, b: a + b, "int"),
-    "float-sum": MonoidSpec("float-sum", 0.0, lambda a, b: a + b, "float"),
-    "list": MonoidSpec("list", [], lambda a, b: a + b, "list"),
-    "max": MonoidSpec("max", None, _max_combine, "number"),
+    "int-sum": MonoidSpec("int-sum", 0, add, sum, "int"),
+    "count": MonoidSpec("count", 0, add, sum, "int"),
+    # not sum(): from Python 3.12 on it compensates float rounding
+    "float-sum": MonoidSpec(
+        "float-sum", 0.0, add, lambda xs: reduce(add, xs, 0.0), "float"
+    ),
+    "list": MonoidSpec(
+        "list", [], add, lambda xss: [x for xs in xss for x in xs], "list"
+    ),
+    "max": MonoidSpec(
+        "max", None, _max_combine, lambda xs: reduce(_max_combine, xs, None), "number"
+    ),
 }
 
 
@@ -220,13 +232,13 @@ def run_query(sig: Signature, q: QueryExpr, t: Term, monoid: MonoidSpec):
             return a
         return run_query(sig, q.right, t, monoid)
     if isinstance(q, AllQ):
-        acc = monoid.unit
+        hits = []
         for c in t.children:
             r = run_query(sig, q.body, c, monoid)
             if r is NO_RESULT:
                 return NO_RESULT
-            acc = monoid.combine(acc, r)
-        return acc
+            hits.append(r)
+        return monoid.fold(hits)
     if isinstance(q, AdhocQ):
         if sort_of(sig, t) == q.case.sort:
             return _apply_case(q.case, t, monoid)
@@ -234,27 +246,27 @@ def run_query(sig: Signature, q: QueryExpr, t: Term, monoid: MonoidSpec):
     if isinstance(q, FullCl):
         # every node contributes, preorder; a no-result node counts as
         # the unit so collection is total
-        acc = monoid.unit
+        hits = []
         stack = [t]
         while stack:
             x = stack.pop()
             r = run_query(sig, q.body, x, monoid)
             if r is not NO_RESULT:
-                acc = monoid.combine(acc, r)
+                hits.append(r)
             stack.extend(reversed(x.children))
-        return acc
+        return monoid.fold(hits)
     if isinstance(q, StopCl):
         # a hit contributes and stops the descent below that node
-        acc = monoid.unit
+        hits = []
         stack = [t]
         while stack:
             x = stack.pop()
             r = run_query(sig, q.body, x, monoid)
             if r is not NO_RESULT:
-                acc = monoid.combine(acc, r)
+                hits.append(r)
             else:
                 stack.extend(reversed(x.children))
-        return acc
+        return monoid.fold(hits)
     if isinstance(q, OnceCl):
         # first hit in preorder, left to right
         stack = [t]

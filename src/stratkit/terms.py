@@ -329,38 +329,61 @@ def sort_of(sig: Signature, t: Term) -> Sort:
 
 
 def validate_term(sig: Signature, t: Term) -> None:
-    """Raise TermError at the first ill-formed node (preorder), naming
-    its path as child indices from the root."""
-    stack: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
+    """Raise TermError at the first ill-formed node, naming its path as
+    child indices from the root.
+
+    Nodes are visited in preorder. A node is checked first; its
+    children's sorts are then checked at the node, last child first,
+    before the walk descends into them. One pass, linear in the size of
+    the term: the path is a single list trimmed to the depth of each
+    visited node, joined into text only for the error.
+    """
+    by_constr = sig.by_constr
+    prim_sorts = sig.prim_sorts
+    path: list[int] = []
+    stack: list[tuple[Term, int, int]] = [(t, 0, 0)]
     while stack:
-        x, path = stack.pop()
-        where = "/".join(map(str, path)) or "root"
-        if isinstance(x, Lit):
-            kind = sig.prim_sorts.get(x.sort)
+        x, d, i = stack.pop()
+        if d:
+            del path[d - 1 :]
+            path.append(i)
+        if type(x) is Lit:
+            kind = prim_sorts.get(x.sort)
             if kind is None:
-                raise TermError(f"at {where}: {x.sort!r} is not a primitive sort")
+                raise TermError(
+                    f"at {_where(path)}: {x.sort!r} is not a primitive sort"
+                )
             if type(x.value) is not PRIM_KINDS[kind]:
                 raise TermError(
-                    f"at {where}: literal {x.value!r} is not of kind {kind!r}"
+                    f"at {_where(path)}: literal {x.value!r} is not of kind {kind!r}"
                 )
             continue
-        sym = sig.by_constr.get(x.constr)
+        sym = by_constr.get(x.constr)
         if sym is None:
-            raise TermError(f"at {where}: unknown constructor {x.constr!r}")
-        if len(x.children) != len(sym.arg_sorts):
+            raise TermError(f"at {_where(path)}: unknown constructor {x.constr!r}")
+        children = x.children
+        arg_sorts = sym.arg_sorts
+        if len(children) != len(arg_sorts):
             raise TermError(
-                f"at {where}: {x.constr!r} expects {len(sym.arg_sorts)} children, "
-                f"got {len(x.children)}"
+                f"at {_where(path)}: {x.constr!r} expects {len(arg_sorts)} "
+                f"children, got {len(children)}"
             )
-        for i in range(len(x.children) - 1, -1, -1):
-            c = x.children[i]
-            got = c.sort if isinstance(c, Lit) else None
-            if got is None:
-                csym = sig.by_constr.get(c.constr)
-                got = csym.result_sort if csym else None
-            if got is not None and got != sym.arg_sorts[i]:
+        d += 1
+        for i in range(len(children) - 1, -1, -1):
+            c = children[i]
+            if type(c) is Lit:
+                got = c.sort
+            else:
+                csym = by_constr.get(c.constr)
+                # an unknown constructor is reported when the walk gets there
+                got = csym.result_sort if csym else arg_sorts[i]
+            if got != arg_sorts[i]:
                 raise TermError(
-                    f"at {where}: child {i} of {x.constr!r} has sort {got!r}, "
-                    f"expected {sym.arg_sorts[i]!r}"
+                    f"at {_where(path)}: child {i} of {x.constr!r} has sort "
+                    f"{got!r}, expected {arg_sorts[i]!r}"
                 )
-            stack.append((c, path + (i,)))
+            stack.append((c, d, i))
+
+
+def _where(path: list[int]) -> str:
+    return "/".join(map(str, path)) or "root"

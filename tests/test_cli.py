@@ -237,6 +237,74 @@ def test_ill_sorted_term_is_rejected_before_running(fixtures_dir, tmp_path):
     assert result.exit_code == 2
 
 
+def _cli(argv):
+    # a real process: a quadratic layer fails the timeout instead of hanging
+    return subprocess.run(
+        [sys.executable, "-m", "stratkit", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_child_env(),
+    )
+
+
+def test_deep_chain_runs_from_the_cli(fixtures_dir, tmp_path):
+    depth = 100_000
+    term = tmp_path / "deep.term"
+    term.write_text("(Succ " * depth + "(Zero)" + ")" * depth + "\n")
+    proc = _cli(
+        [
+            "run",
+            str(fixtures_dir / "nat_tree.sig"),
+            str(fixtures_dir / "programs" / "full_bu_id_increment.strat"),
+            str(term),
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("Succ") == 2 * depth + 1
+
+
+def test_bad_leaf_deep_in_a_chain_names_its_full_path(fixtures_dir, tmp_path):
+    depth = 50_000
+    term = tmp_path / "deep.term"
+    term.write_text("(Succ " * depth + "(Nope)" + ")" * depth + "\n")
+    proc = _cli(
+        [
+            "run",
+            str(fixtures_dir / "nat_tree.sig"),
+            str(fixtures_dir / "programs" / "full_bu_id_increment.strat"),
+            str(term),
+        ]
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"at {'/'.join(['0'] * depth)}: unknown constructor 'Nope'\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["lint"], ["analyze", "fallibility"], ["analyze", "termination"]],
+)
+def test_nesting_beyond_the_recursion_limit_is_a_usage_error(
+    fixtures_dir, tmp_path, command
+):
+    prog = tmp_path / "long.strat"
+    prog.write_text(
+        "@infallible\nrule increment : Nat = n -> (Succ n)\n"
+        "main = " + " ; ".join(["try(increment)"] * 1000) + "\n"
+    )
+    term = tmp_path / "zero.term"
+    term.write_text("(Zero)\n")
+    argv = [*command, str(fixtures_dir / "nat_tree.sig"), str(prog)]
+    proc = _cli(argv + [str(term)] if command == ["run"] else argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "input nested too deeply: it exceeds the Python recursion limit of "
+        "1000 frames\n"
+    )
+
+
 def test_query_monoid_kind_mismatch(fixtures_dir):
     result = invoke(
         fixtures_dir,

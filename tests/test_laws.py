@@ -1,6 +1,7 @@
 """The randomized law harness: generator contracts, determinism, the
 law table itself, and hand-verified witnesses for the three non-laws."""
 
+import itertools
 import random
 
 import pytest
@@ -115,13 +116,34 @@ def test_a_false_law_fails_with_a_shrunk_case(sig, rules, monkeypatch):
 ZERO = Node("Zero")
 
 
+#: the smallest counterexample of each non-law, in the search's order
+NONLAW_LINES = [
+    "NONLAW seq-commutative COUNTEREXAMPLE s1=increment s2=dropSucc t=(Zero)"
+    " left=(Zero) right=FAIL",
+    "NONLAW choice-commutative COUNTEREXAMPLE s1=id s2=increment t=(Zero)"
+    " left=(Zero) right=(Succ (Zero))",
+    "NONLAW seq-right-dist COUNTEREXAMPLE s1=id s2=increment s3=dropSucc"
+    " t=(Zero) left=FAIL right=(Zero)",
+]
+
+
 def test_nonlaw_search_finds_all_three(sig, rules):
     results = find_nonlaw_counterexamples(sig, list(rules.values()))
     assert [r.name for r in results] == [n.name for n in NONLAWS]
-    for r in results:
-        assert r.counterexample is not None
-        assert r.line().startswith(f"NONLAW {r.name} COUNTEREXAMPLE")
-        assert "left=" in r.counterexample and "right=" in r.counterexample
+    assert [r.line() for r in results] == NONLAW_LINES
+
+
+@pytest.mark.parametrize("slots, stride", [(2, 1), (3, 5)])
+def test_candidates_are_the_product_stably_sorted_by_size(rules, slots, stride):
+    # The lazy enumeration must try candidates in exactly the order of
+    # sorting the whole product by total size (sorted() is stable).
+    # Every 5th element of the universe still mixes all three sizes.
+    universe = laws._strategy_universe(list(rules.values()))[::stride]
+    product = itertools.product(universe, repeat=slots)
+    expected = sorted(product, key=lambda ts: sum(n for n, _ in ts))
+    assert list(laws._candidates(universe, slots)) == [
+        tuple(s for _, s in ts) for ts in expected
+    ]
 
 
 def test_hand_picked_witnesses_refute_each_nonlaw(sig, rules):

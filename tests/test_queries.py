@@ -5,6 +5,8 @@ recursive spelling, plus closed-form oracles (preorder literal listing,
 direct salary sums) that do not mention the combinators at all.
 """
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -284,6 +286,27 @@ def test_monoid_laws(name, data):
     assert m.combine(m.unit, a) == a
     assert m.combine(a, m.unit) == a
     assert m.combine(m.combine(a, b), c) == m.combine(a, m.combine(b, c))
+
+
+#: wider than MONOID_VALUES: any finite float, and ints tied with floats
+#: under max, where the first maximum must win
+FOLD_VALUES = {
+    **MONOID_VALUES,
+    "float-sum": st.floats(allow_nan=False, allow_infinity=False),
+    "max": st.one_of(
+        st.none(), st.integers(-3, 3), st.integers(-3, 3).map(float)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOIDS))
+@given(data=st.data())
+def test_fold_is_the_left_fold_of_combine(name, data):
+    m = MONOIDS[name]
+    xs = data.draw(st.lists(FOLD_VALUES[name], max_size=12))
+    want = functools.reduce(m.combine, xs, m.unit)
+    # repr tells 1 from 1.0 and 0.0 from -0.0
+    assert repr(m.fold(list(xs))) == repr(want)
 
 
 def test_get_monoid_reports_the_known_names():
