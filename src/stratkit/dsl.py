@@ -60,6 +60,7 @@ from .strategies import (
     Seq,
     Strategy,
     Var,
+    binder_numbering,
     family,
     free_vars,
     full_bu,
@@ -784,6 +785,13 @@ def _param_linearity_lints(d: Def, lints: list[str]) -> None:
 def parse_program(
     text: str, sig: Signature, origin: str = "<program>"
 ) -> Program:
+    """The program in text; its expansions number their recursion
+    binders from $1, as in a fresh process."""
+    with binder_numbering():
+        return _parse_program(text, sig)
+
+
+def _parse_program(text: str, sig: Signature) -> Program:
     toks = tokenize(text)
     chunks = _split_chunks(toks, ("rule", "def", "main"))
 

@@ -195,6 +195,11 @@ def parse_term(text: str) -> Term:
                     num = float(payload)
                 except ValueError:
                     _fail(text, tokens, f"bad literal payload {payload!r}", k)
+                if num != num:
+                    # its term would be unequal to its own re-read, and
+                    # would never match a literal pattern
+                    _fail(text, tokens, f"bad literal payload {payload!r}: "
+                          "NaN is not equal to itself", k)
             value = Lit(num, sort)
             at = k
         else:

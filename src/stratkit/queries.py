@@ -6,6 +6,14 @@ A fixed set of monoids keeps the value side closed: every query run is
 checked against one monoid, and a query case extracting the wrong kind
 of value is a load/run-time diagnostic instead of a silent coercion.
 
+A query is compiled once, by `compile_query`, to one closure fixed to
+a signature and a monoid, as interp compiles strategies: the query's
+constructors are dispatched on at compile time, not at each visited
+node. A chain of `adhocq` cases over one default becomes one table keyed
+by sort, the outermost case on a sort winning. A case whose extraction
+does not fit the monoid raises KindError when it fires, never at
+compile time. `run_query` compiles and applies in one call.
+
 The collection schemes walk terms with an explicit stack; host
 recursion depth stays proportional to the query expression, never the
 term.
@@ -16,17 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .errors import EngineError, KindError
 from .terms import (
     Lit,
     Pattern,
+    PVar,
     Signature,
     Term,
     instantiate,
     match,
-    sort_of,
 )
 
 
@@ -194,87 +202,176 @@ def check_query_kinds(q: QueryExpr, monoid: MonoidSpec) -> None:
             stack.append(node.default)
 
 
-def _extracted_value(case: QueryRule, out: Term, monoid: MonoidSpec):
-    if monoid.kind == "list":
-        return [out]
-    if isinstance(out, Lit) and monoid.accepts(out.value):
-        return out.value
-    raise KindError(
-        f"case {case.name!r} extracted {out!r}, which does not fit "
-        f"monoid {monoid.name!r}"
-    )
-
-
-def _apply_case(case: QueryRule, t: Term, monoid: MonoidSpec):
-    binding = match(case.lhs, t)
-    if binding is None:
-        return NO_RESULT
-    return _extracted_value(case, instantiate(case.extract, binding), monoid)
+# ---------------------------------------------------------------------------
+# Query compilation
+#
+# Closures Term -> value | NO_RESULT. Compiling recurses on the query and
+# never looks at a term.
 
 
 def run_query(sig: Signature, q: QueryExpr, t: Term, monoid: MonoidSpec):
     """Value of q at t, or NO_RESULT."""
+    return compile_query(sig, q, monoid)(t)
+
+
+def compile_query(sig: Signature, q: QueryExpr, monoid: MonoidSpec):
+    """Closure giving the value of q at a term, or NO_RESULT."""
     if isinstance(q, ConstQ):
-        return monoid.unit if q.value is UNIT else q.value
+        value = monoid.unit if q.value is UNIT else q.value
+        return lambda t: value
     if isinstance(q, FailQ):
-        return NO_RESULT
-    if isinstance(q, BothQ):
-        a = run_query(sig, q.left, t, monoid)
-        if a is NO_RESULT:
-            return NO_RESULT
-        b = run_query(sig, q.right, t, monoid)
-        if b is NO_RESULT:
-            return NO_RESULT
-        return monoid.combine(a, b)
-    if isinstance(q, ChoiceQ):
-        a = run_query(sig, q.left, t, monoid)
-        if a is not NO_RESULT:
-            return a
-        return run_query(sig, q.right, t, monoid)
-    if isinstance(q, AllQ):
-        hits = []
-        for c in t.children:
-            r = run_query(sig, q.body, c, monoid)
-            if r is NO_RESULT:
-                return NO_RESULT
-            hits.append(r)
-        return monoid.fold(hits)
+        return lambda t: NO_RESULT
     if isinstance(q, AdhocQ):
-        if sort_of(sig, t) == q.case.sort:
-            return _apply_case(q.case, t, monoid)
-        return run_query(sig, q.default, t, monoid)
+        return _compile_adhoc(q, sig, monoid)
+    if isinstance(q, BothQ):
+        left = compile_query(sig, q.left, monoid)
+        right = compile_query(sig, q.right, monoid)
+        combine = monoid.combine
+
+        def both(t):
+            a = left(t)
+            if a is NO_RESULT:
+                return a
+            b = right(t)
+            if b is NO_RESULT:
+                return b
+            return combine(a, b)
+
+        return both
+    if isinstance(q, ChoiceQ):
+        left = compile_query(sig, q.left, monoid)
+        right = compile_query(sig, q.right, monoid)
+
+        def choice(t):
+            a = left(t)
+            if a is NO_RESULT:
+                return right(t)
+            return a
+
+        return choice
+
+    body = compile_query(sig, q.body, monoid)
+    fold = monoid.fold
+    if isinstance(q, AllQ):
+
+        def all_q(t):
+            hits = []
+            for c in t.children:
+                r = body(c)
+                if r is NO_RESULT:
+                    return r
+                hits.append(r)
+            return fold(hits)
+
+        return all_q
     if isinstance(q, FullCl):
-        # every node contributes, preorder; a no-result node counts as
-        # the unit so collection is total
-        hits = []
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            r = run_query(sig, q.body, x, monoid)
-            if r is not NO_RESULT:
-                hits.append(r)
-            stack.extend(reversed(x.children))
-        return monoid.fold(hits)
+
+        def full_cl(t):
+            # every node contributes, preorder; a no-result node counts
+            # as the unit so collection is total
+            hits = []
+            stack = [t]
+            while stack:
+                x = stack.pop()
+                r = body(x)
+                if r is not NO_RESULT:
+                    hits.append(r)
+                if x.children:
+                    stack.extend(reversed(x.children))
+            return fold(hits)
+
+        return full_cl
     if isinstance(q, StopCl):
-        # a hit contributes and stops the descent below that node
-        hits = []
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            r = run_query(sig, q.body, x, monoid)
-            if r is not NO_RESULT:
-                hits.append(r)
-            else:
-                stack.extend(reversed(x.children))
-        return monoid.fold(hits)
+
+        def stop_cl(t):
+            # a hit contributes and stops the descent below that node
+            hits = []
+            stack = [t]
+            while stack:
+                x = stack.pop()
+                r = body(x)
+                if r is not NO_RESULT:
+                    hits.append(r)
+                elif x.children:
+                    stack.extend(reversed(x.children))
+            return fold(hits)
+
+        return stop_cl
     if isinstance(q, OnceCl):
-        # first hit in preorder, left to right
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            r = run_query(sig, q.body, x, monoid)
-            if r is not NO_RESULT:
-                return r
-            stack.extend(reversed(x.children))
-        return NO_RESULT
+
+        def once_cl(t):
+            # first hit in preorder, left to right
+            stack = [t]
+            while stack:
+                x = stack.pop()
+                r = body(x)
+                if r is not NO_RESULT:
+                    return r
+                if x.children:
+                    stack.extend(reversed(x.children))
+            return NO_RESULT
+
+        return once_cl
     raise EngineError(f"cannot run {q!r}")
+
+
+def _compile_adhoc(q: AdhocQ, sig: Signature, monoid: MonoidSpec):
+    # A chain of cases over one default is one table keyed by sort. The
+    # outermost case on a sort shadows the inner ones, as it did when
+    # each case tested the sort in turn.
+    cases = {}
+    while isinstance(q, AdhocQ):
+        if q.case.sort not in cases:
+            cases[q.case.sort] = _compile_case(q.case, monoid)
+        q = q.default
+    default = compile_query(sig, q, monoid)
+    case_for = cases.get
+    constr_sort = sig.constr_sort
+    symbol = sig.symbol
+
+    def adhoc(t):
+        if type(t) is Lit:
+            return case_for(t.sort, default)(t)
+        try:
+            sort = constr_sort[t.constr]
+        except KeyError:
+            # an unvalidated term: the same SignatureError as sort_of
+            sort = symbol(t.constr).result_sort
+        return case_for(sort, default)(t)
+
+    return adhoc
+
+
+def _compile_case(case: QueryRule, monoid: MonoidSpec):
+    """Applier for a case on a term of its sort. An extraction outside
+    the monoid's kind raises KindError when the case fires."""
+    if monoid.kind == "list":
+
+        def value(out):
+            return [out]
+
+    else:
+        accepts = monoid.accepts
+
+        def value(out):
+            if type(out) is Lit and accepts(out.value):
+                return out.value
+            raise KindError(
+                f"case {case.name!r} extracted {out!r}, which does not fit "
+                f"monoid {monoid.name!r}"
+            )
+
+    lhs, extract = case.lhs, case.extract
+    if isinstance(lhs, PVar):
+        if extract == lhs:
+            return value
+        name = lhs.name
+        return lambda t: value(instantiate(extract, {name: t}))
+
+    def general(t):
+        binding = match(lhs, t)
+        if binding is None:
+            return NO_RESULT
+        return value(instantiate(extract, binding))
+
+    return general

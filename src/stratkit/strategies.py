@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import StratkitError
 from .terms import Lit, Node, Pattern, Signature, Term, instantiate, match, sort_of
@@ -250,11 +252,26 @@ def free_vars(s: Strategy) -> frozenset[str]:
 
 # Scheme expansions introduce binders no surface program can mention:
 # the DSL rejects '$' in identifiers, so these can never be captured.
-_fresh = itertools.count(1)
+# Outside binder_numbering they are numbered across the process.
+_binder_numbers: ContextVar[Iterator[int]] = ContextVar(
+    "binder_numbers", default=itertools.count(1)
+)
+
+
+@contextmanager
+def binder_numbering():
+    """Number the binders that scheme expansions introduce from $1 on
+    within the block, so that the same program gets the same names each
+    time it is built."""
+    token = _binder_numbers.set(itertools.count(1))
+    try:
+        yield
+    finally:
+        _binder_numbers.reset(token)
 
 
 def _fresh_var() -> str:
-    return f"${next(_fresh)}"
+    return f"${next(_binder_numbers.get())}"
 
 
 def substitute(s: Strategy, mapping: dict[str, Strategy]) -> Strategy:
@@ -268,7 +285,12 @@ def substitute(s: Strategy, mapping: dict[str, Strategy]) -> Strategy:
         if not inner:
             return s
         if any(s.name in free_vars(v) for v in inner.values()):
+            # numbering restarts per program, so a name from another
+            # numbering may be free here
+            taken = free_vars(s.body).union(*map(free_vars, inner.values()))
             renamed = _fresh_var()
+            while renamed in taken:
+                renamed = _fresh_var()
             body = substitute(s.body, {s.name: Var(renamed)})
             return Rec(renamed, substitute(body, inner))
         return Rec(s.name, substitute(s.body, inner))

@@ -1,6 +1,7 @@
 """Reference oracles for the term front end: the character-by-character
 reader and the per-node-path validator that `stratkit.files.parse_term`
-and `stratkit.terms.validate_term` replaced, kept verbatim.
+and `stratkit.terms.validate_term` replaced, kept verbatim except that
+the reader rejects a NaN literal payload, as `parse_term` now does.
 
 Both are quadratic or slow in places, which is why they were replaced;
 the differential tests in test_front_end.py hold the fast versions to
@@ -89,6 +90,12 @@ def _atom_to_term(tok: str, line: int, col: int) -> Term:
                 raise ParseError(
                     f"bad literal payload {payload!r}", line=line, col=col
                 ) from None
+            if value != value:
+                raise ParseError(
+                    f"bad literal payload {payload!r}: NaN is not equal to itself",
+                    line=line,
+                    col=col,
+                )
         return Lit(value, sort)
     return Node(tok)
 

@@ -164,8 +164,7 @@ def _child_env():
 
 @pytest.mark.parametrize("golden", sorted(GOLDENS))
 def test_golden(fixtures_dir, golden):
-    # fresh recursion binders are numbered per process, and two goldens
-    # print them, so each invocation gets its own interpreter
+    # each invocation gets its own interpreter, as it does from a shell
     code, argv = GOLDENS[golden]
     proc = subprocess.run(
         [sys.executable, "-m", "stratkit", *_resolve(fixtures_dir, argv)],
@@ -237,6 +236,40 @@ def test_ill_sorted_term_is_rejected_before_running(fixtures_dir, tmp_path):
     assert result.exit_code == 2
 
 
+def test_nan_literal_in_a_term_file(fixtures_dir, tmp_path):
+    bad = tmp_path / "nan.term"
+    bad.write_text(
+        '(Company (Cons_Department (Department "R":Name (Manager (Employee '
+        '"m":Name nan:Salary)) (Nil_Unit)) (Nil_Department)))\n'
+    )
+    result = CliRunner().invoke(
+        main,
+        [
+            "query",
+            str(fixtures_dir / "company.sig"),
+            str(fixtures_dir / "queries" / "total_salaries.query"),
+            str(bad),
+            "--monoid",
+            "float-sum",
+        ],
+    )
+    assert result.exit_code == 2
+    assert "1:76: bad literal payload 'nan': NaN is not equal to itself" in (
+        result.stderr
+    )
+
+
+@pytest.mark.parametrize("golden", ["lint_bait.out", "fallibility_strict_lint_bait.out"])
+def test_binder_names_do_not_depend_on_earlier_loads(fixtures_dir, golden):
+    # one process, two runs: each prints what a fresh process prints
+    code, argv = GOLDENS[golden]
+    expected = (fixtures_dir / "golden" / golden).read_text()
+    for _ in range(2):
+        result = invoke(fixtures_dir, argv)
+        assert result.stdout == expected
+        assert result.exit_code == code
+
+
 def _cli(argv):
     # a real process: a quadratic layer fails the timeout instead of hanging
     return subprocess.run(
@@ -279,6 +312,30 @@ def test_bad_leaf_deep_in_a_chain_names_its_full_path(fixtures_dir, tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"at {'/'.join(['0'] * depth)}: unknown constructor 'Nope'\n"
+
+
+@pytest.mark.parametrize(
+    "scheme, qrule, want",
+    [
+        # every Nat on the chain
+        ("full_cl", "one : Nat = n -> 1:Count", 100_001),
+        # a miss at every Succ, so the walk reaches the bottom
+        ("stop_cl", "one : Nat = (Zero) -> 1:Count", 1),
+        ("once_cl", "one : Nat = (Zero) -> 1:Count", 1),
+    ],
+)
+def test_deep_chain_queries_from_the_cli(fixtures_dir, tmp_path, scheme, qrule, want):
+    depth = 100_000
+    term = tmp_path / "deep.term"
+    term.write_text("(Succ " * depth + "(Zero)" + ")" * depth + "\n")
+    query = tmp_path / "count.query"
+    query.write_text(f"qrule {qrule}\nmain = {scheme}(adhocq(failq, one))\n")
+    proc = _cli(
+        ["query", str(fixtures_dir / "nat_tree.sig"), str(query), str(term),
+         "--monoid", "count"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{want}\n"
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from stratkit.strategies import (
     RuleRef,
     Seq,
     Var,
+    print_strategy,
     stop_td,
 )
 from stratkit.termination import ANY, LESS
@@ -342,3 +343,15 @@ def test_every_shipped_query_loads(fixtures_dir):
     for q_path in sorted((fixtures_dir / "queries").glob("*.query")):
         prog = load_query_program(str(fixtures_dir / "company.sig"), str(q_path))
         assert prog.main is not None
+
+
+def test_each_load_numbers_binders_from_one(fixtures_dir):
+    def load():
+        return load_program(
+            fixtures_dir / "nat_tree.sig",
+            fixtures_dir / "programs" / "stop_increment.strat",
+        )
+
+    first = print_strategy(load().main)
+    assert first == "rec $1. adhoc(fail,increment) <+ all($1)"
+    assert print_strategy(load().main) == first

@@ -124,6 +124,21 @@ def test_parse_term_errors(text, message):
         parse_term(text)
 
 
+@pytest.mark.parametrize("payload", ["nan", "-nan", "NaN", "+nan"])
+def test_nan_literal_is_a_positioned_error(payload):
+    with pytest.raises(ParseError) as exc:
+        parse_term(f"(Employee \"x\":Name\n  {payload}:Salary)")
+    assert str(exc.value) == (
+        f"2:3: bad literal payload {payload!r}: NaN is not equal to itself"
+    )
+
+
+def test_infinite_literals_round_trip():
+    for text in ("inf:Salary", "-inf:Salary"):
+        t = parse_term(text)
+        assert parse_term(term_to_sexpr(t)) == t == parse_term(text)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_term("(Node\n  (Zero")

@@ -30,7 +30,7 @@ def outcome(fn, *args):
             getattr(exc, "line", None),
             getattr(exc, "col", None),
         )
-    # the printed form tells 1 from 1.0 and reads nan like any other float
+    # the printed form tells 1 from 1.0
     return "ok", term_to_sexpr(result) if result is not None else None
 
 

@@ -1,8 +1,9 @@
 """Type-unifying queries against a recursive reference evaluator.
 
-run_query walks terms with an explicit stack; the reference here is the
-recursive spelling, plus closed-form oracles (preorder literal listing,
-direct salary sums) that do not mention the combinators at all.
+run_query compiles a query to closures that walk terms with an explicit
+stack; the reference here is the recursive interpreter, plus closed-form
+oracles (preorder literal listing, direct salary sums) that do not
+mention the combinators at all.
 """
 
 import functools
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stratkit.errors import KindError
+from stratkit.errors import KindError, SignatureError
 from stratkit.queries import (
     MONOIDS,
     NO_RESULT,
@@ -27,6 +28,7 @@ from stratkit.queries import (
     QueryRule,
     StopCl,
     check_query_kinds,
+    compile_query,
     get_monoid,
     run_query,
 )
@@ -50,6 +52,16 @@ EMPSAL = QueryRule(
     "empsal", "Employee", PNode("Employee", (PVar("n"), PVar("s"))), PVar("s")
 )
 MGRZERO = QueryRule("mgrzero", "Manager", PVar("m"), PLit(0.0, "Salary"))
+ONE = QueryRule("one", "Employee", PVar("e"), PLit(1, "Headcount"))
+#: matches only employees earning 10.0
+TENS = QueryRule(
+    "tens",
+    "Employee",
+    PNode("Employee", (PVar("n"), PLit(10.0, "Salary"))),
+    PLit(1, "Headcount"),
+)
+#: extracts a whole node, which only the list monoid takes
+WHOLE = QueryRule("whole", "Employee", PVar("e"), PVar("e"))
 
 
 def employee(name: str, sal: float) -> Node:
@@ -101,25 +113,45 @@ departments = st.recursive(
 
 companies = st.lists(departments, max_size=3).map(company)
 
-float_queries = st.recursive(
-    st.one_of(
-        st.just(ConstQ(UNIT)),
-        salaries.map(ConstQ),
-        st.just(FailQ()),
-    ),
-    lambda sub: st.one_of(
-        st.tuples(sub, sub).map(lambda p: BothQ(*p)),
-        st.tuples(sub, sub).map(lambda p: ChoiceQ(*p)),
-        sub.map(AllQ),
-        st.tuples(sub, st.sampled_from([GETSAL, EMPSAL, MGRZERO])).map(
-            lambda p: AdhocQ(*p)
+#: per monoid kind, the cases whose extractions fit it
+KIND_CASES = {
+    "float": [GETSAL, EMPSAL, MGRZERO],
+    "int": [ONE, TENS],
+    "number": [GETSAL, EMPSAL, MGRZERO, ONE, TENS],
+    "list": [GETSAL, EMPSAL, MGRZERO, ONE, TENS, WHOLE],
+}
+
+#: per monoid, constants of its kind
+CONSTANTS = {
+    "float-sum": salaries,
+    "int-sum": st.integers(-5, 5),
+    "count": st.integers(0, 5),
+    "max": st.one_of(st.integers(-5, 5), salaries),
+    "list": st.lists(st.integers(0, 3), max_size=2),
+}
+
+
+def queries_for(name):
+    """Queries under monoid `name`, the cases of its kind mixed freely,
+    so chains of cases on one sort are drawn too."""
+    cases = st.sampled_from(KIND_CASES[MONOIDS[name].kind])
+    return st.recursive(
+        st.one_of(
+            st.just(ConstQ(UNIT)),
+            CONSTANTS[name].map(ConstQ),
+            st.just(FailQ()),
         ),
-        sub.map(FullCl),
-        sub.map(StopCl),
-        sub.map(OnceCl),
-    ),
-    max_leaves=6,
-)
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda p: BothQ(*p)),
+            st.tuples(sub, sub).map(lambda p: ChoiceQ(*p)),
+            sub.map(AllQ),
+            st.tuples(sub, cases).map(lambda p: AdhocQ(*p)),
+            sub.map(FullCl),
+            sub.map(StopCl),
+            sub.map(OnceCl),
+        ),
+        max_leaves=6,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +220,18 @@ def ref_query(sig, q, t, monoid):
     raise AssertionError(q)
 
 
-@given(float_queries, companies)
-def test_engine_agrees_with_reference(company_sig, q, t):
-    monoid = MONOIDS["float-sum"]
-    got = run_query(company_sig, q, t, monoid)
-    want = ref_query(company_sig, q, t, monoid)
-    assert got == want or (got is NO_RESULT and want is NO_RESULT)
+@given(data=st.data())
+def test_engine_agrees_with_reference(company_sig, data):
+    t = data.draw(companies)
+    for name in sorted(MONOIDS):
+        monoid = MONOIDS[name]
+        q = data.draw(queries_for(name), label=name)
+        run = compile_query(company_sig, q, monoid)
+        # a second term shows that a compiled query keeps no state
+        for x in (t, C0):
+            want = ref_query(company_sig, q, x, monoid)
+            # repr tells 1 from 1.0, and the printed terms of a list apart
+            assert repr(run(x)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +366,74 @@ def test_constants_are_checked_at_load_time():
 
 
 def test_extractions_are_checked_at_run_time(company_sig):
-    whole = QueryRule(
-        "whole", "Employee", PVar("e"), PVar("e")
-    )  # extracts a Node, not a Lit
-    q = OnceCl(AdhocQ(FailQ(), whole))
-    with pytest.raises(KindError, match="does not fit"):
-        run_query(company_sig, q, C0, MONOIDS["float-sum"])
+    q = OnceCl(AdhocQ(FailQ(), WHOLE))  # extracts a Node, not a Lit
+    run = compile_query(company_sig, q, MONOIDS["float-sum"])
+    with pytest.raises(KindError) as exc:
+        run(C0)
+    assert str(exc.value) == (
+        'case \'whole\' extracted (Employee "m":Name 100.0:Salary), which '
+        "does not fit monoid 'float-sum'"
+    )
     # under the list monoid the same extraction is fine
     got = run_query(company_sig, q, C0, MONOIDS["list"])
     assert got == [employee("m", 100.0)]
+
+
+def test_an_ill_kinded_case_that_never_fires_is_harmless(company_sig):
+    float_sum = MONOIDS["float-sum"]
+    # shadowed by the outer case on the same sort
+    q = FullCl(AdhocQ(AdhocQ(FailQ(), WHOLE), EMPSAL))
+    assert run_query(company_sig, q, C0, float_sum) == 130.0
+    # no node of its sort
+    q = FullCl(AdhocQ(ConstQ(UNIT), WHOLE))
+    assert run_query(company_sig, q, company([]), float_sum) == 0.0
+
+
+def test_the_outer_of_two_cases_on_one_sort_wins(company_sig):
+    float_sum = MONOIDS["float-sum"]
+    one = QueryRule("one", "Employee", PVar("e"), PLit(1.0, "Salary"))
+    tens = QueryRule(
+        "tens",
+        "Employee",
+        PNode("Employee", (PVar("n"), PLit(10.0, "Salary"))),
+        PLit(10.0, "Salary"),
+    )
+    inner_first = FullCl(AdhocQ(AdhocQ(FailQ(), one), EMPSAL))
+    assert run_query(company_sig, inner_first, C0, float_sum) == 130.0
+    swapped = FullCl(AdhocQ(AdhocQ(FailQ(), EMPSAL), one))
+    assert run_query(company_sig, swapped, C0, float_sum) == 3.0
+    # an outer case that does not match gives no result; it does not
+    # fall through to the inner case
+    q = FullCl(AdhocQ(AdhocQ(FailQ(), one), tens))
+    assert run_query(company_sig, q, C0, float_sum) == 10.0
+    q = OnceCl(AdhocQ(AdhocQ(FailQ(), one), tens))
+    assert run_query(company_sig, q, C0, float_sum) == 10.0
+
+
+def test_an_unknown_constructor_is_a_signature_error(company_sig):
+    bad = Node("Bogus", (C0,))
+    with pytest.raises(SignatureError) as want:
+        company_sig.symbol("Bogus")
+    for q in (
+        FullCl(AdhocQ(FailQ(), GETSAL)),
+        StopCl(AdhocQ(AdhocQ(FailQ(), EMPSAL), MGRZERO)),
+    ):
+        with pytest.raises(SignatureError) as exc:
+            run_query(company_sig, q, bad, MONOIDS["float-sum"])
+        assert str(exc.value) == str(want.value) == "unknown constructor 'Bogus'"
+    # a literal is dispatched on its own sort tag
+    salary = Lit(5.0, "Salary")
+    q = AdhocQ(ConstQ(2.5), GETSAL)
+    assert run_query(company_sig, q, salary, MONOIDS["max"]) == 5.0
+    q = AdhocQ(ConstQ(2.5), EMPSAL)
+    assert run_query(company_sig, q, salary, MONOIDS["max"]) == 2.5
+
+
+def test_pairing_needs_a_result_on_both_sides(company_sig):
+    one = ConstQ(1.0)
+    for q in (BothQ(one, FailQ()), BothQ(FailQ(), one)):
+        assert run_query(company_sig, q, C0, MONOIDS["float-sum"]) is NO_RESULT
+    assert run_query(company_sig, BothQ(one, one), C0, MONOIDS["float-sum"]) == 2.0
 
 
 def test_unit_constant_means_the_monoid_unit(company_sig):

@@ -18,6 +18,7 @@ from stratkit.strategies import (
     Seq,
     Var,
     apply_rule,
+    binder_numbering,
     family,
     free_vars,
     full_bu,
@@ -121,6 +122,16 @@ def test_substitute_is_capture_avoiding():
     assert out.name != "v"
     assert free_vars(out) == {"v"}
     assert out.body == Seq(Var(out.name), Var("v"))
+
+
+def test_renamed_binder_avoids_names_free_in_the_body():
+    # `$1` comes from another numbering; a fresh one restarts at `$1`
+    s = Rec("v", Seq(Var("v"), Seq(Var("x"), Var("$1"))))
+    with binder_numbering():
+        out = substitute(s, {"x": Var("v")})
+    assert out.name not in ("v", "$1")
+    assert free_vars(out) == {"v", "$1"}
+    assert out.body == Seq(Var(out.name), Seq(Var("v"), Var("$1")))
 
 
 def test_substitute_does_not_touch_bound_occurrences():
