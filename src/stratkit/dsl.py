@@ -9,28 +9,43 @@ definitions, and a mandatory final main expression:
     def norm(s) = repeat(s ; try(all(s)))
     main = stop_td(adhoc(fail, increment))
 
-Rules may appear in any order and are visible everywhere. Definitions
-are macros: they expand at the call site (with alpha-renaming of any
-recursion binders, so nesting is safe) and must be declared before
-use. `;` binds tighter than `<+`, both associate to the left, and
-`rec v. e` extends as far right as possible.
+The grammar ({x}: any number of x; [x]: optional x; `#` comments run to
+the end of the line):
 
-Query files are the same shape with `qrule` declarations and the query
-combinators (constq/failq/bothq/allq/adhocq, infix `<+q`, and the
-collection schemes full_cl/stop_cl/once_cl).
+    program  = {["@infallible" | "@effect(" rel {"," rel} ")"] rule | def | main}
+    rule     = "rule" name ":" sort "=" pattern "->" pattern ["where" guard]
+    def      = "def" name "(" [param {"," param}] ")" "=" strategy
+    main     = "main" "=" strategy
+    strategy = strategy ";" strategy | strategy "<+" strategy
+             | "rec" var "." strategy | form | var | param | rule-name
+             | def-name ["(" [strategy {"," strategy}] ")"]
+    pattern  = "(" Constructor {pattern} ")" | Constructor | variable | literal ":" sort
+    queries  = {"qrule" name ":" sort "=" pattern "->" pattern | "main" "=" query}
+    query    = query "<+q" query | form
+    form     = "(" expression ")" | form-name ["(" argument {"," argument} ")"]
 
-Identifier case is meaningful in patterns: capitalized names are
-constructors, lower-case names are variables. Literals are written
-with a sort tag, as in term files: `0.0:Salary`.
+with the forms and their argument kinds in `_STRATEGY_FORMS` and
+`_QUERY_FORMS`. `;` binds tighter than `<+`; both, and `<+q`, associate
+to the left; `rec v. e` extends as far right as possible. Rules are
+visible everywhere; definitions are macros that expand at the call site
+(alpha-renaming recursion binders, so nesting is safe) and must be
+declared before use; main comes last, apart from rules. Capitalized
+names in patterns are constructors, lower-case ones are variables, and
+literals carry a sort tag, as in term files: `0.0:Salary`. A number is
+`-?digits[.digits]`; a string is double-quoted, with `\\n` and `\\t`
+escapes and `\\c` for any other c.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import LoadError, ParseError, StratkitError
+from .files import _ESCAPE, _unescape, load_signature
 from .queries import (
     UNIT,
     AdhocQ,
@@ -91,67 +106,37 @@ from .terms import (
     Signature,
     pattern_vars,
 )
-from .files import load_signature
 from .termination import Rel, parse_rel
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokens
 
-_SYMBOLS = {";", "(", ")", "[", "]", ",", ".", "=", ":", "@"}
+
+def _token_regex(choice: str) -> re.Pattern:
+    """One token per match, after the whitespace and comments in front
+    of it. `bad` takes a character no token starts with, and the quote
+    of an unterminated string; `eof` matches once the text is used up."""
+    return re.compile(
+        r"""(?:\s|\#[^\n]*)*(?:
+            (?P<float>-?\d+\.\d+) | (?P<int>-?\d+) | (?P<ident>\w+)
+          | (?P<string>"(?:[^"\\]|\\[\s\S])*")
+          | (?P<sym>""" + choice + r"""|->|[;()\[\],.=:@])
+          | (?P<eof>\Z) | (?P<bad>[\s\S]))""",
+        re.VERBOSE,
+    )
+
+
+#: In a query program `<+q` is one operator, unless the q opens a name.
+_TOKENS = {False: _token_regex(r"<\+"), True: _token_regex(r"<\+(?:q(?!\w))?")}
 
 KEYWORDS = frozenset({"rule", "qrule", "def", "main", "rec", "where"})
 
-#: Names with fixed meaning in strategy expressions.
-RESERVED = KEYWORDS | frozenset(
-    {
-        "id",
-        "fail",
-        "all",
-        "one",
-        "adhoc",
-        "family",
-        "rule_choice",
-        "rule_seq",
-        "try",
-        "repeat",
-        "full_td",
-        "full_bu",
-        "once_td",
-        "once_bu",
-        "stop_td",
-        "stop_bu",
-        "innermost",
-        "full_td1",
-        "full_bu1",
-        "once_td1",
-        "once_bu1",
-        "stop_td1",
-        "innermost1",
-    }
-)
 
-QUERY_RESERVED = KEYWORDS | frozenset(
-    {
-        "constq",
-        "failq",
-        "bothq",
-        "allq",
-        "adhocq",
-        "full_cl",
-        "stop_cl",
-        "once_cl",
-        "unit",
-    }
-)
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | float | string | sym | eof
     value: object
-    line: int
-    col: int
+    at: int  # offset of the token's first character in the text
 
     def describe(self) -> str:
         if self.kind == "eof":
@@ -159,104 +144,166 @@ class Token:
         return repr(str(self.value))
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
+def _is(t: Token, sym: str) -> bool:
+    return t.kind == "sym" and t.value == sym
+
+
+class _Error(Exception):
+    """An error at an offset in the text; `_positions` turns it into a
+    ParseError at a line and column."""
+
+    def __init__(self, message: str, at: int):
+        super().__init__(message)
+        self.at = at
+
+
+@contextmanager
+def _positions(text: str, origin: Optional[str] = None):
+    try:
+        yield
+    except _Error as exc:
+        line = text.count("\n", 0, exc.at) + 1
+        col = exc.at - text.rfind("\n", 0, exc.at)
+        raise ParseError(str(exc), line, col, origin) from None
 
 
 def tokenize(text: str, query: bool = False) -> list[Token]:
+    """The tokens of text, ending with an eof token."""
+    with _positions(text):
+        return _scan(text, query)
+
+
+def _scan(text: str, query: bool) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            toks.append(Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = "int"
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                kind = "float"
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            word = text[i:j]
-            value = float(word) if kind == "float" else int(word)
-            toks.append(Token(kind, value, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    if j + 1 >= n:
-                        raise ParseError(
-                            "unterminated escape", start_line, start_col
-                        )
-                    esc = text[j + 1]
-                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            toks.append(Token("string", "".join(out), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c == "<" and text[i : i + 2] == "<+":
-            # in query mode the operator carries a q suffix, unless the q
-            # opens an ordinary identifier
-            if (
-                query
-                and text[i : i + 3] == "<+q"
-                and (i + 3 >= n or not _is_ident_char(text[i + 3]))
-            ):
-                toks.append(Token("sym", "<+q", start_line, start_col))
-                i += 3
-                col += 3
-            else:
-                toks.append(Token("sym", "<+", start_line, start_col))
-                i += 2
-                col += 2
-            continue
-        if c == "-" and text[i : i + 2] == "->":
-            toks.append(Token("sym", "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _SYMBOLS:
-            toks.append(Token("sym", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", None, line, col))
+    for m in _TOKENS[query].finditer(text):
+        kind = m.lastgroup
+        word = m.group(kind)
+        at = m.start(kind)
+        value: object = word
+        if kind == "int":
+            value = int(word)
+        elif kind == "float":
+            value = float(word)
+        elif kind == "string":
+            value = _ESCAPE.sub(_unescape, word[1:-1])
+        elif kind == "eof":
+            # where a comment runs to the end, the text ends at its start
+            tail = text[m.start() :]
+            comment = tail.find("#", tail.rfind("\n") + 1)
+            toks.append(Token(kind, None, at if comment < 0 else m.start() + comment))
+            break
+        elif word == '"':
+            # the string runs to the end of the text; it stops inside an
+            # escape when the text ends in an odd run of backslashes
+            trailing = len(text) - len(text.rstrip("\\"))
+            raise _Error(f"unterminated {'escape' if trailing % 2 else 'string'}", at)
+        elif kind == "bad" or kind == "ident" and not (
+            word[0].isalpha() or word[0] == "_"
+        ):
+            # a name starts with a letter or `_`; '²' is a digit, but not
+            # one int() reads
+            raise _Error(f"unexpected character {word[0]!r}", at)
+        toks.append(Token(kind, value, at))
     return toks
+
+
+def _declarations(toks: list[Token], keywords: tuple[str, ...]) -> list[list[Token]]:
+    """Split the tokens into declarations: an annotation, or a keyword
+    and everything up to the next keyword or annotation. Each one ends
+    with an eof token at its own last token."""
+    out: list[list[Token]] = []
+    i = 0
+    while toks[i].kind != "eof":
+        t, j = toks[i], i + 1
+        if _is(t, "@"):
+            if toks[j].kind != "ident":
+                raise _Error("expected annotation name after '@'", t.at)
+            j += 1
+            if _is(toks[j], "("):
+                while not _is(toks[j], ")"):
+                    if toks[j].kind == "eof":
+                        raise _Error("unclosed annotation", t.at)
+                    j += 1
+                j += 1
+        elif t.kind == "ident" and t.value in keywords:
+            while not (toks[j].kind == "eof" or _is(toks[j], "@")
+                       or toks[j].kind == "ident" and toks[j].value in keywords):
+                j += 1
+        else:
+            raise _Error(f"expected a declaration, found {t.describe()}", t.at)
+        out.append(toks[i:j] + [Token("eof", None, toks[j - 1].at)])
+        i = j
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The two languages
+#
+# A form is a name applied to arguments: name -> (builder, argument
+# kinds). A form without argument kinds takes no parentheses. The kinds:
+#   expr   an expression of the form's own language: a strategy or a query
+#   rule   a rule name, or a rule_choice(...) or rule_seq(...) form
+#   rules  one or more rules, separated by commas
+#   cases  a bracketed, possibly empty list of rules
+#   qrule  a query rule name
+#   value  unit, or a numeric literal
+
+_STRATEGY_FORMS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "id": (lambda: ID, ()),
+    "fail": (lambda: FAIL, ()),
+    "all": (All, ("expr",)),
+    "one": (One, ("expr",)),
+    "adhoc": (Adhoc, ("expr", "rule")),
+    "family": (family, ("cases", "expr")),
+    "rule_choice": (lambda rules: RuleRef(rule_choice(*rules)), ("rules",)),
+    "rule_seq": (lambda rules: RuleRef(rule_seq(*rules)), ("rules",)),
+    "try": (try_, ("expr",)),
+    "repeat": (repeat, ("expr",)),
+    "full_td": (full_td, ("expr",)),
+    "full_bu": (full_bu, ("expr",)),
+    "once_td": (once_td, ("expr",)),
+    "once_bu": (once_bu, ("expr",)),
+    "stop_td": (stop_td, ("expr",)),
+    "stop_bu": (stop_bu, ("expr",)),
+    "innermost": (innermost, ("expr",)),
+    "full_td1": (full_td1, ("rule",)),
+    "full_bu1": (full_bu1, ("rule",)),
+    "once_td1": (once_td1, ("rule",)),
+    "once_bu1": (once_bu1, ("rule",)),
+    "stop_td1": (stop_td1, ("rule",)),
+    "innermost1": (innermost1, ("rule",)),
+}
+
+_QUERY_FORMS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "failq": (FailQ, ()),
+    "constq": (ConstQ, ("value",)),
+    "bothq": (BothQ, ("expr", "expr")),
+    "allq": (AllQ, ("expr",)),
+    "adhocq": (AdhocQ, ("expr", "qrule")),
+    "full_cl": (FullCl, ("expr",)),
+    "stop_cl": (StopCl, ("expr",)),
+    "once_cl": (OnceCl, ("expr",)),
+}
+
+#: Names with fixed meaning in strategy expressions.
+RESERVED = KEYWORDS | frozenset(_STRATEGY_FORMS)
+
+#: Names with fixed meaning in query expressions.
+QUERY_RESERVED = KEYWORDS | frozenset(_QUERY_FORMS) | {"unit"}
+
+
+class _Language(NamedTuple):
+    what: str  # the noun in "expected a ..., found ..."
+    infix: dict  # symbol -> (precedence, builder); all associate left
+    binder: Optional[str]  # the prefix that binds a recursion variable
+    forms: dict
+    keywords: frozenset  # names rejected where an operand is expected
+
+
+_STRATEGY = _Language(
+    "strategy", {";": (1, Seq), "<+": (0, Choice)}, "rec", _STRATEGY_FORMS, KEYWORDS
+)
+_QUERY = _Language("query", {"<+q": (0, ChoiceQ)}, None, _QUERY_FORMS, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -287,119 +334,277 @@ class QueryProgram:
     lints: list[str] = field(default_factory=list)
 
 
-def _split_chunks(toks: list[Token], keywords: tuple[str, ...]):
-    """Group the token stream into annotation/declaration chunks."""
-    chunks: list[tuple[str, list[Token]]] = []
-    i = 0
-    while toks[i].kind != "eof":
-        t = toks[i]
-        if t.kind == "sym" and t.value == "@":
-            j = i + 1
-            if toks[j].kind != "ident":
-                raise ParseError("expected annotation name after '@'", t.line, t.col)
-            j += 1
-            if toks[j].kind == "sym" and toks[j].value == "(":
-                while toks[j].kind != "eof" and not (
-                    toks[j].kind == "sym" and toks[j].value == ")"
-                ):
-                    j += 1
-                if toks[j].kind == "eof":
-                    raise ParseError("unclosed annotation", t.line, t.col)
-                j += 1
-            chunks.append(("@", toks[i:j]))
-            i = j
-            continue
-        if t.kind == "ident" and t.value in keywords:
-            j = i + 1
-            while toks[j].kind != "eof" and not (
-                (toks[j].kind == "ident" and toks[j].value in keywords)
-                or (toks[j].kind == "sym" and toks[j].value == "@")
-            ):
-                j += 1
-            chunks.append((str(t.value), toks[i:j]))
-            i = j
-            continue
-        raise ParseError(
-            f"expected a declaration, found {t.describe()}", t.line, t.col
-        )
-    return chunks
+class _Parser:
+    """Reads one program's declarations, one at a time, by recursive
+    descent; infix operators are read by precedence climbing in a loop,
+    so a long chain of them costs no stack."""
 
-
-class _TokenCursor:
-    def __init__(self, toks: list[Token]):
-        self.toks = list(toks)
-        if not self.toks or self.toks[-1].kind != "eof":
-            last = self.toks[-1] if self.toks else Token("eof", None, 1, 1)
-            self.toks.append(Token("eof", None, last.line, last.col))
+    def __init__(self, lang: _Language):
+        self.lang = lang
+        self.rules: dict[str, RuleDef] = {}
+        self.qrules: dict[str, QueryRule] = {}
+        self.defs: dict[str, Def] = {}
+        self.params: frozenset[str] = frozenset()
+        self.scope: list[str] = []  # recursion variables bound here
+        self.lints: list[str] = []
+        self.toks: list[Token] = []
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def start(self, toks: list[Token]) -> str:
+        """Start on a declaration; the value of its first token."""
+        self.toks, self.pos = toks, 1
+        return str(toks[0].value)
 
-    def next(self) -> Token:
+    def next(self) -> Token:  # every caller rejects an eof token
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def at(self, sym: str) -> bool:
+        return _is(self.toks[self.pos], sym)
+
+    def expect(self, sym: str) -> None:
         t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+        if not _is(t, sym):
+            raise _Error(f"expected {sym!r}, found {t.describe()}", t.at)
+        self.pos += 1
+
+    def ident(self, what: str) -> Token:
+        t = self.toks[self.pos]
+        if t.kind != "ident":
+            raise _Error(f"expected {what}, found {t.describe()}", t.at)
+        self.pos += 1
         return t
 
-    def at_sym(self, *values: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.value in values
+    def name(self, what: str, reserved: frozenset) -> str:
+        """A name a declaration or binder introduces."""
+        t = self.ident(what)
+        if t.value in reserved:
+            raise _Error(f"{t.value!r} is reserved", t.at)
+        return str(t.value)
 
-    def expect_sym(self, value: str) -> Token:
-        t = self.peek()
-        if not (t.kind == "sym" and t.value == value):
-            raise ParseError(f"expected {value!r}, found {t.describe()}", t.line, t.col)
-        return self.next()
-
-    def expect_ident(self, what: str = "name") -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ParseError(f"expected {what}, found {t.describe()}", t.line, t.col)
-        return self.next()
-
-    def expect_end(self, context: str) -> None:
-        t = self.peek()
+    def end(self, context: str) -> None:
+        t = self.toks[self.pos]
         if t.kind != "eof":
-            raise ParseError(
-                f"unexpected {t.describe()} after {context}", t.line, t.col
+            raise _Error(f"unexpected {t.describe()} after {context}", t.at)
+
+    def commas(self, item: Callable) -> list:
+        """One or more items, separated by commas."""
+        out = [item()]
+        while self.at(","):
+            self.pos += 1
+            out.append(item())
+        return out
+
+    def group(self, item: Callable, open: str = "(", close: str = ")") -> list:
+        """Items separated by commas, between open and close."""
+        self.expect(open)
+        out = [] if self.at(close) else self.commas(item)
+        self.expect(close)
+        return out
+
+    # -- expressions
+
+    def body(self, context: str, params=()) -> object:
+        """The expression that ends the declaration; a scheme that can
+        never do useful work adds a lint."""
+        self.params = frozenset(params)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            e = self.expr()
+        self.lints.extend(str(w.message) for w in caught)
+        self.end(context)
+        return e
+
+    def expr(self, min_prec: int = 0) -> object:
+        t = self.toks[self.pos]
+        if t.kind == "ident" and t.value == self.lang.binder:
+            self.pos += 1
+            name = self.name("recursion variable", RESERVED)
+            self.expect(".")
+            self.scope.append(name)
+            body = self.expr()
+            self.scope.pop()
+            return Rec(name, body)
+        left = self.operand()
+        while True:
+            t = self.toks[self.pos]
+            op = self.lang.infix.get(t.value) if t.kind == "sym" else None
+            if op is None or op[0] < min_prec:
+                return left
+            self.pos += 1
+            left = op[1](left, self.expr(op[0] + 1))
+
+    def operand(self) -> object:
+        t = self.next()
+        if _is(t, "("):
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        if t.kind != "ident":
+            raise _Error(f"expected a {self.lang.what}, found {t.describe()}", t.at)
+        name = str(t.value)
+        if name in self.lang.forms:
+            return self.apply(t, *self.lang.forms[name])
+        if name in self.lang.keywords:
+            raise _Error(f"unexpected {name!r}", t.at)
+        if name in self.scope or name in self.params:
+            return Var(name)
+        if name in self.defs:
+            d = self.defs[name]
+            args = self.group(self.expr) if self.at("(") else []
+            if len(args) != len(d.params):
+                raise _Error(
+                    f"{name!r} takes {len(d.params)} argument(s), given {len(args)}",
+                    t.at,
+                )
+            return substitute(d.body, dict(zip(d.params, args)))
+        if name in self.rules:
+            return RuleRef(self.rules[name])
+        raise _Error(f"unknown name {name!r}", t.at)
+
+    def apply(self, at: Token, build: Callable, kinds: tuple[str, ...]) -> object:
+        args = []
+        for i, kind in enumerate(kinds):
+            self.expect("," if i else "(")
+            args.append(self.argument(kind))
+        if kinds:
+            self.expect(")")
+        try:
+            return build(*args)
+        except StratkitError as exc:
+            raise _Error(str(exc), at.at) from None
+
+    def argument(self, kind: str) -> object:
+        if kind == "expr":
+            return self.expr()
+        if kind == "rule":
+            return self.rule()
+        if kind == "rules":
+            return self.commas(self.rule)
+        if kind == "cases":
+            return self.group(self.rule, "[", "]")
+        if kind == "qrule":
+            t = self.ident("query rule name")
+            if t.value not in self.qrules:
+                raise _Error(f"unknown query rule {t.value!r}", t.at)
+            return self.qrules[str(t.value)]
+        t = self.next()  # a value
+        if t.kind == "ident" and t.value == "unit":
+            return UNIT
+        if t.kind in ("int", "float"):
+            return t.value
+        raise _Error("constq takes unit or a numeric literal", t.at)
+
+    def rule(self) -> Rule:
+        t = self.ident("rule name")
+        name = str(t.value)
+        if name in ("rule_choice", "rule_seq"):
+            return self.apply(t, *_STRATEGY_FORMS[name]).rule
+        if name not in self.rules:
+            hint = ""
+            if name in self.params or name in self.defs:
+                hint = " (a rule is required here, not a strategy)"
+            raise _Error(f"unknown rule {name!r}{hint}", t.at)
+        return self.rules[name]
+
+    # -- declarations
+
+    def pattern(self) -> Pattern:
+        t = self.next()
+        if _is(t, "("):
+            head = self.ident("constructor")
+            name = str(head.value)
+            if not name[0].isupper():
+                raise _Error(
+                    f"constructor names are capitalized, found {name!r}", head.at
+                )
+            children = []
+            while not self.at(")"):
+                if self.toks[self.pos].kind == "eof":
+                    raise _Error("unclosed pattern", t.at)
+                children.append(self.pattern())
+            self.pos += 1
+            return PNode(name, tuple(children))
+        if t.kind == "ident":
+            name = str(t.value)
+            if name in KEYWORDS:
+                raise _Error(f"{name!r} cannot appear in a pattern", t.at)
+            return PNode(name, ()) if name[0].isupper() else PVar(name)
+        if t.kind in ("int", "float", "string"):
+            self.expect(":")
+            return PLit(t.value, str(self.ident("sort name").value))
+        raise _Error(f"expected a pattern, found {t.describe()}", t.at)
+
+    def annotation(self) -> tuple[str, object]:
+        t = self.ident("annotation name")
+        if t.value == "infallible":
+            self.end("@infallible")
+            return ("infallible", True)
+        if t.value != "effect":
+            raise _Error(
+                f"unknown annotation {t.value!r} (expected infallible or effect)", t.at
             )
+        self.expect("(")
+        rels = self.commas(self.relation)
+        self.expect(")")
+        self.end("@effect(...)")
+        return ("effect", tuple(rels))
+
+    def relation(self) -> Rel:
+        t = self.ident("effect component (less/leq/any)")
+        try:
+            return parse_rel(str(t.value))
+        except ParseError as exc:
+            raise _Error(str(exc), t.at) from None
+
+    def rule_decl(self, kind: str, annotations: dict[str, object]):
+        reserved = RESERVED if kind == "rule" else QUERY_RESERVED
+        name = self.name("rule name", reserved)
+        self.expect(":")
+        sort = str(self.ident("sort name").value)
+        self.expect("=")
+        lhs = self.pattern()
+        self.expect("->")
+        rhs = self.pattern()
+        guard = None
+        t = self.toks[self.pos]
+        if t.kind == "ident" and t.value == "where":
+            if kind == "qrule":
+                raise _Error("query rules take no guard", t.at)
+            self.pos += 1
+            guard_tok = self.ident("guard name")
+            guard = str(guard_tok.value)
+            if guard not in GUARDS:
+                known = ", ".join(sorted(GUARDS))
+                raise _Error(f"unknown guard {guard!r} (known: {known})", guard_tok.at)
+        self.end(f"{kind} {name!r}")
+        if kind == "qrule":
+            return QueryRule(name, sort, lhs, rhs)
+        return RuleDef(
+            name, sort, lhs, rhs, guard=guard,
+            infallible=bool(annotations.get("infallible")),
+            effect_claim=annotations.get("effect"),
+        )
+
+    def definition(self, diags: list[str]) -> None:
+        name = self.name("definition name", RESERVED)
+        if name in self.defs or name in self.rules:
+            diags.append(f"name {name!r} declared twice")
+        params = self.group(lambda: str(self.ident("parameter").value))
+        if len(set(params)) != len(params):
+            diags.append(f"def {name!r}: duplicate parameter names")
+        self.expect("=")
+        expr = self.body(f"def {name!r}", params)
+        stray = free_vars(expr) - set(params)
+        if stray:
+            diags.append(f"def {name!r}: unbound variables: " + ", ".join(sorted(stray)))
+        d = Def(name, tuple(params), expr)
+        _param_linearity_lints(d, self.lints)
+        self.defs[name] = d
 
 
 # ---------------------------------------------------------------------------
-# Patterns
-
-
-def _parse_pattern(cur: _TokenCursor) -> Pattern:
-    t = cur.next()
-    if t.kind == "sym" and t.value == "(":
-        head = cur.expect_ident("constructor")
-        name = str(head.value)
-        if not name[0].isupper():
-            raise ParseError(
-                f"constructor names are capitalized, found {name!r}",
-                head.line,
-                head.col,
-            )
-        children = []
-        while not cur.at_sym(")"):
-            if cur.peek().kind == "eof":
-                raise ParseError("unclosed pattern", t.line, t.col)
-            children.append(_parse_pattern(cur))
-        cur.next()
-        return PNode(name, tuple(children))
-    if t.kind == "ident":
-        name = str(t.value)
-        if name in KEYWORDS:
-            raise ParseError(f"{name!r} cannot appear in a pattern", t.line, t.col)
-        if name[0].isupper():
-            return PNode(name, ())
-        return PVar(name)
-    if t.kind in ("int", "float", "string"):
-        cur.expect_sym(":")
-        sort = cur.expect_ident("sort name")
-        return PLit(t.value, str(sort.value))
-    raise ParseError(f"expected a pattern, found {t.describe()}", t.line, t.col)
+# Semantic checks
 
 
 def _check_pattern(
@@ -476,288 +681,6 @@ def _check_rule_patterns(
         _check_pattern(sig, rhs, sort, dict(binding), where + " rhs", diags)
 
 
-# ---------------------------------------------------------------------------
-# Strategy expressions
-
-_SCHEMES = {
-    "try": try_,
-    "repeat": repeat,
-    "full_td": full_td,
-    "full_bu": full_bu,
-    "once_td": once_td,
-    "once_bu": once_bu,
-    "stop_td": stop_td,
-    "stop_bu": stop_bu,
-    "innermost": innermost,
-}
-
-_PRIMED = {
-    "full_td1": full_td1,
-    "full_bu1": full_bu1,
-    "once_td1": once_td1,
-    "once_bu1": once_bu1,
-    "stop_td1": stop_td1,
-    "innermost1": innermost1,
-}
-
-
-class _ExprParser:
-    def __init__(
-        self,
-        cur: _TokenCursor,
-        rules: dict[str, RuleDef],
-        defs: dict[str, Def],
-        params: frozenset[str],
-        lints: list[str],
-    ):
-        self.cur = cur
-        self.rules = rules
-        self.defs = defs
-        self.params = params
-        self.lints = lints
-        self.scope: list[str] = []
-
-    def expr(self, min_prec: int = 0) -> Strategy:
-        t = self.cur.peek()
-        if t.kind == "ident" and t.value == "rec":
-            self.cur.next()
-            binder = self.cur.expect_ident("recursion variable")
-            name = str(binder.value)
-            if name in RESERVED:
-                raise ParseError(
-                    f"{name!r} is reserved", binder.line, binder.col
-                )
-            self.cur.expect_sym(".")
-            self.scope.append(name)
-            try:
-                body = self.expr(0)
-            finally:
-                self.scope.pop()
-            return Rec(name, body)
-        left = self.atom()
-        while True:
-            if self.cur.at_sym(";") and min_prec <= 1:
-                self.cur.next()
-                left = Seq(left, self.expr(2))
-            elif self.cur.at_sym("<+") and min_prec <= 0:
-                self.cur.next()
-                left = Choice(left, self.expr(1))
-            else:
-                return left
-
-    def atom(self) -> Strategy:
-        t = self.cur.next()
-        if t.kind == "sym" and t.value == "(":
-            inner = self.expr(0)
-            self.cur.expect_sym(")")
-            return inner
-        if t.kind != "ident":
-            raise ParseError(
-                f"expected a strategy, found {t.describe()}", t.line, t.col
-            )
-        name = str(t.value)
-        if name == "id":
-            return ID
-        if name == "fail":
-            return FAIL
-        if name == "all" or name == "one":
-            self.cur.expect_sym("(")
-            body = self.expr(0)
-            self.cur.expect_sym(")")
-            return All(body) if name == "all" else One(body)
-        if name == "adhoc":
-            self.cur.expect_sym("(")
-            default = self.expr(0)
-            self.cur.expect_sym(",")
-            rule = self.rule_designator()
-            self.cur.expect_sym(")")
-            return Adhoc(default, rule)
-        if name == "family":
-            return self.family_call(t)
-        if name in ("rule_choice", "rule_seq"):
-            return RuleRef(self.composite(name, t))
-        if name in _SCHEMES:
-            self.cur.expect_sym("(")
-            body = self.expr(0)
-            self.cur.expect_sym(")")
-            return self.build_scheme(name, body)
-        if name in _PRIMED:
-            self.cur.expect_sym("(")
-            rule = self.rule_designator()
-            self.cur.expect_sym(")")
-            return _PRIMED[name](rule)
-        if name in KEYWORDS:
-            raise ParseError(f"unexpected {name!r}", t.line, t.col)
-        for binder in reversed(self.scope):
-            if binder == name:
-                return Var(name)
-        if name in self.params:
-            return Var(name)
-        if name in self.defs:
-            return self.def_call(name, t)
-        if name in self.rules:
-            return RuleRef(self.rules[name])
-        raise ParseError(f"unknown name {name!r}", t.line, t.col)
-
-    def build_scheme(self, name: str, body: Strategy) -> Strategy:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = _SCHEMES[name](body)
-        for w in caught:
-            self.lints.append(str(w.message))
-        return out
-
-    def family_call(self, at: Token) -> Strategy:
-        self.cur.expect_sym("(")
-        self.cur.expect_sym("[")
-        cases: list[Rule] = []
-        if not self.cur.at_sym("]"):
-            cases.append(self.rule_designator())
-            while self.cur.at_sym(","):
-                self.cur.next()
-                cases.append(self.rule_designator())
-        self.cur.expect_sym("]")
-        self.cur.expect_sym(",")
-        default = self.expr(0)
-        self.cur.expect_sym(")")
-        try:
-            return family(cases, default)
-        except StratkitError as exc:
-            raise ParseError(str(exc), at.line, at.col) from None
-
-    def composite(self, kind: str, at: Token) -> Rule:
-        self.cur.expect_sym("(")
-        members = [self.rule_designator()]
-        while self.cur.at_sym(","):
-            self.cur.next()
-            members.append(self.rule_designator())
-        self.cur.expect_sym(")")
-        build = rule_choice if kind == "rule_choice" else rule_seq
-        try:
-            return build(*members)
-        except StratkitError as exc:
-            raise ParseError(str(exc), at.line, at.col) from None
-
-    def rule_designator(self) -> Rule:
-        t = self.cur.peek()
-        if t.kind == "ident" and t.value in ("rule_choice", "rule_seq"):
-            self.cur.next()
-            return self.composite(str(t.value), t)
-        name_tok = self.cur.expect_ident("rule name")
-        name = str(name_tok.value)
-        rule = self.rules.get(name)
-        if rule is None:
-            hint = ""
-            if name in self.params or name in self.defs:
-                hint = " (a rule is required here, not a strategy)"
-            raise ParseError(
-                f"unknown rule {name!r}{hint}", name_tok.line, name_tok.col
-            )
-        return rule
-
-    def def_call(self, name: str, at: Token) -> Strategy:
-        d = self.defs[name]
-        args: list[Strategy] = []
-        if self.cur.at_sym("("):
-            self.cur.next()
-            if not self.cur.at_sym(")"):
-                args.append(self.expr(0))
-                while self.cur.at_sym(","):
-                    self.cur.next()
-                    args.append(self.expr(0))
-            self.cur.expect_sym(")")
-        if len(args) != len(d.params):
-            raise ParseError(
-                f"{name!r} takes {len(d.params)} argument(s), given {len(args)}",
-                at.line,
-                at.col,
-            )
-        return substitute(d.body, dict(zip(d.params, args)))
-
-
-# ---------------------------------------------------------------------------
-# Program loading
-
-
-def _parse_annotation(toks: list[Token]):
-    cur = _TokenCursor(toks)
-    cur.expect_sym("@")
-    name_tok = cur.expect_ident("annotation name")
-    name = str(name_tok.value)
-    if name == "infallible":
-        cur.expect_end("@infallible")
-        return ("infallible", True)
-    if name == "effect":
-        cur.expect_sym("(")
-        rels: list[Rel] = []
-        while True:
-            t = cur.expect_ident("effect component (less/leq/any)")
-            try:
-                rels.append(parse_rel(str(t.value)))
-            except ParseError as exc:
-                raise ParseError(str(exc), t.line, t.col) from None
-            if cur.at_sym(","):
-                cur.next()
-                continue
-            break
-        cur.expect_sym(")")
-        cur.expect_end("@effect(...)")
-        return ("effect", tuple(rels))
-    raise ParseError(
-        f"unknown annotation {name!r} (expected infallible or effect)",
-        name_tok.line,
-        name_tok.col,
-    )
-
-
-def _parse_rule_chunk(
-    toks: list[Token],
-    infallible: bool,
-    effect: Optional[tuple[Rel, ...]],
-    kind: str,
-):
-    cur = _TokenCursor(toks)
-    cur.next()  # rule / qrule keyword
-    name_tok = cur.expect_ident("rule name")
-    name = str(name_tok.value)
-    reserved = RESERVED if kind == "rule" else QUERY_RESERVED
-    if name in reserved:
-        raise ParseError(f"{name!r} is reserved", name_tok.line, name_tok.col)
-    cur.expect_sym(":")
-    sort = str(cur.expect_ident("sort name").value)
-    cur.expect_sym("=")
-    lhs = _parse_pattern(cur)
-    arrow = cur.peek()
-    if not cur.at_sym("->"):
-        raise ParseError(
-            f"expected '->', found {arrow.describe()}", arrow.line, arrow.col
-        )
-    cur.next()
-    rhs = _parse_pattern(cur)
-    guard = None
-    if cur.peek().kind == "ident" and cur.peek().value == "where":
-        if kind == "qrule":
-            t = cur.peek()
-            raise ParseError("query rules take no guard", t.line, t.col)
-        cur.next()
-        guard_tok = cur.expect_ident("guard name")
-        guard = str(guard_tok.value)
-        if guard not in GUARDS:
-            known = ", ".join(sorted(GUARDS))
-            raise ParseError(
-                f"unknown guard {guard!r} (known: {known})",
-                guard_tok.line,
-                guard_tok.col,
-            )
-    cur.expect_end(f"{kind} {name!r}")
-    if kind == "qrule":
-        return QueryRule(name, sort, lhs, rhs)
-    return RuleDef(
-        name, sort, lhs, rhs, guard=guard, infallible=infallible,
-        effect_claim=effect,
-    )
-
-
 def _param_linearity_lints(d: Def, lints: list[str]) -> None:
     counts: dict[str, int] = {p: 0 for p in d.params}
     stack = [d.body]
@@ -782,114 +705,62 @@ def _param_linearity_lints(d: Def, lints: list[str]) -> None:
             )
 
 
+# ---------------------------------------------------------------------------
+# Program loading
+
+
 def parse_program(
-    text: str, sig: Signature, origin: str = "<program>"
+    text: str, sig: Signature, origin: Optional[str] = None
 ) -> Program:
     """The program in text; its expansions number their recursion
-    binders from $1, as in a fresh process."""
-    with binder_numbering():
-        return _parse_program(text, sig)
+    binders from $1, as in a fresh process. A ParseError names origin,
+    when it is given, before its line and column."""
+    with binder_numbering(), _positions(text, origin):
+        toks = _scan(text, False)
+        p = _Parser(_STRATEGY)
+        diags: list[str] = []
 
-
-def _parse_program(text: str, sig: Signature) -> Program:
-    toks = tokenize(text)
-    chunks = _split_chunks(toks, ("rule", "def", "main"))
-
-    rules: dict[str, RuleDef] = {}
-    diags: list[str] = []
-    lints: list[str] = []
-
-    # rules first: order-free visibility for defs and main
-    pending: list[tuple[str, object]] = []
-    deferred: list[tuple[str, list[Token]]] = []
-    for kind, body in chunks:
-        if kind == "@":
-            pending.append(_parse_annotation(body))
-            continue
-        if kind == "rule":
-            infallible = any(k == "infallible" for k, _ in pending)
-            effect = next((v for k, v in pending if k == "effect"), None)
-            pending = []
-            rule = _parse_rule_chunk(body, infallible, effect, "rule")
-            if rule.name in rules:
-                diags.append(f"rule {rule.name!r} declared twice")
-            rules[rule.name] = rule
-            continue
+        # rules first: order-free visibility for defs and main
+        pending: dict[str, object] = {}  # annotations, the first of each kind
+        deferred: list[list[Token]] = []
+        for decl in _declarations(toks, ("rule", "def", "main")):
+            kind = p.start(decl)
+            if kind == "@":
+                pending.setdefault(*p.annotation())
+            elif kind == "rule":
+                rule = p.rule_decl("rule", pending)
+                pending = {}
+                if rule.name in p.rules:
+                    diags.append(f"rule {rule.name!r} declared twice")
+                p.rules[rule.name] = rule
+            elif pending:
+                raise _Error("annotations must be followed by a rule", decl[0].at)
+            else:
+                deferred.append(decl)
         if pending:
-            raise ParseError(
-                "annotations must be followed by a rule",
-                body[0].line,
-                body[0].col,
-            )
-        deferred.append((kind, body))
-    if pending:
-        last = toks[-1]
-        raise ParseError("annotations must be followed by a rule", last.line, last.col)
+            raise _Error("annotations must be followed by a rule", toks[-1].at)
 
-    for rule in rules.values():
-        _check_rule_patterns(
-            sig, rule.name, rule.sort, rule.lhs, rule.rhs, diags
-        )
+        for rule in p.rules.values():
+            _check_rule_patterns(sig, rule.name, rule.sort, rule.lhs, rule.rhs, diags)
 
-    defs: dict[str, Def] = {}
-    main: Optional[Strategy] = None
-    for kind, body in deferred:
-        if main is not None:
-            raise ParseError(
-                "main must be the last declaration", body[0].line, body[0].col
-            )
-        cur = _TokenCursor(body)
-        if kind == "def":
-            cur.next()
-            name_tok = cur.expect_ident("definition name")
-            name = str(name_tok.value)
-            if name in RESERVED:
-                raise ParseError(
-                    f"{name!r} is reserved", name_tok.line, name_tok.col
-                )
-            if name in defs or name in rules:
-                diags.append(f"name {name!r} declared twice")
-            cur.expect_sym("(")
-            params: list[str] = []
-            if not cur.at_sym(")"):
-                params.append(str(cur.expect_ident("parameter").value))
-                while cur.at_sym(","):
-                    cur.next()
-                    params.append(str(cur.expect_ident("parameter").value))
-            cur.expect_sym(")")
-            if len(set(params)) != len(params):
-                diags.append(f"def {name!r}: duplicate parameter names")
-            cur.expect_sym("=")
-            parser = _ExprParser(cur, rules, defs, frozenset(params), lints)
-            expr = parser.expr(0)
-            cur.expect_end(f"def {name!r}")
-            stray = free_vars(expr) - set(params)
-            if stray:
-                diags.append(
-                    f"def {name!r}: unbound variables: "
-                    + ", ".join(sorted(stray))
-                )
-            d = Def(name, tuple(params), expr)
-            _param_linearity_lints(d, lints)
-            defs[name] = d
-        else:  # main
-            cur.next()
-            cur.expect_sym("=")
-            parser = _ExprParser(cur, rules, defs, frozenset(), lints)
-            main = parser.expr(0)
-            cur.expect_end("main")
-            stray = free_vars(main)
-            if stray:
-                diags.append(
-                    "main: unbound variables: " + ", ".join(sorted(stray))
-                )
+        main: Optional[Strategy] = None
+        for decl in deferred:
+            if main is not None:
+                raise _Error("main must be the last declaration", decl[0].at)
+            if p.start(decl) == "def":
+                p.definition(diags)
+            else:
+                p.expect("=")
+                main = p.body("main")
+                stray = free_vars(main)
+                if stray:
+                    diags.append("main: unbound variables: " + ", ".join(sorted(stray)))
 
     if main is None:
         diags.append("program has no main")
     if diags:
         raise LoadError(diags)
-    assert main is not None
-    return Program(sig, rules, defs, main, lints)
+    return Program(sig, p.rules, p.defs, main, p.lints)
 
 
 def load_program(sig_path: str, prog_path: str) -> Program:
@@ -903,119 +774,40 @@ def load_program(sig_path: str, prog_path: str) -> Program:
 # Query programs
 
 
-class _QueryExprParser:
-    def __init__(self, cur: _TokenCursor, qrules: dict[str, QueryRule]):
-        self.cur = cur
-        self.qrules = qrules
-
-    def expr(self) -> QueryExpr:
-        left = self.atom()
-        while self.cur.at_sym("<+q"):
-            self.cur.next()
-            left = ChoiceQ(left, self.atom())
-        return left
-
-    def atom(self) -> QueryExpr:
-        t = self.cur.next()
-        if t.kind == "sym" and t.value == "(":
-            inner = self.expr()
-            self.cur.expect_sym(")")
-            return inner
-        if t.kind != "ident":
-            raise ParseError(
-                f"expected a query, found {t.describe()}", t.line, t.col
-            )
-        name = str(t.value)
-        if name == "failq":
-            return FailQ()
-        if name == "constq":
-            self.cur.expect_sym("(")
-            v = self.cur.next()
-            if v.kind == "ident" and v.value == "unit":
-                value: object = UNIT
-            elif v.kind in ("int", "float"):
-                value = v.value
-            else:
-                raise ParseError(
-                    "constq takes unit or a numeric literal", v.line, v.col
-                )
-            self.cur.expect_sym(")")
-            return ConstQ(value)
-        if name in ("allq", "full_cl", "stop_cl", "once_cl"):
-            self.cur.expect_sym("(")
-            body = self.expr()
-            self.cur.expect_sym(")")
-            build = {
-                "allq": AllQ,
-                "full_cl": FullCl,
-                "stop_cl": StopCl,
-                "once_cl": OnceCl,
-            }[name]
-            return build(body)
-        if name == "bothq":
-            self.cur.expect_sym("(")
-            a = self.expr()
-            self.cur.expect_sym(",")
-            b = self.expr()
-            self.cur.expect_sym(")")
-            return BothQ(a, b)
-        if name == "adhocq":
-            self.cur.expect_sym("(")
-            default = self.expr()
-            self.cur.expect_sym(",")
-            case_tok = self.cur.expect_ident("query rule name")
-            case = self.qrules.get(str(case_tok.value))
-            if case is None:
-                raise ParseError(
-                    f"unknown query rule {case_tok.value!r}",
-                    case_tok.line,
-                    case_tok.col,
-                )
-            self.cur.expect_sym(")")
-            return AdhocQ(default, case)
-        raise ParseError(f"unknown name {name!r}", t.line, t.col)
-
-
 def parse_query_program(
-    text: str, sig: Signature, origin: str = "<query>"
+    text: str, sig: Signature, origin: Optional[str] = None
 ) -> QueryProgram:
-    toks = tokenize(text, query=True)
-    chunks = _split_chunks(toks, ("qrule", "main"))
-    qrules: dict[str, QueryRule] = {}
+    """The query program in text. A ParseError names origin, when it is
+    given, before its line and column."""
+    p = _Parser(_QUERY)
     diags: list[str] = []
     main: Optional[QueryExpr] = None
-    for kind, body in chunks:
-        if kind == "@":
-            raise ParseError(
-                "query rules take no annotations", body[0].line, body[0].col
-            )
-        if main is not None:
-            raise ParseError(
-                "main must be the last declaration", body[0].line, body[0].col
-            )
-        if kind == "qrule":
-            qr = _parse_rule_chunk(body, False, None, "qrule")
-            if qr.name in qrules:
-                diags.append(f"query rule {qr.name!r} declared twice")
-            qrules[qr.name] = qr
-            # the extraction side is not a term of the rule's sort, so
-            # only the lhs is checked against the signature
-            _check_rule_patterns(
-                sig, qr.name, qr.sort, qr.lhs, qr.extract, diags,
-                kind="query rule", check_rhs_sort=False,
-            )
-        else:
-            cur = _TokenCursor(body)
-            cur.next()
-            cur.expect_sym("=")
-            main = _QueryExprParser(cur, qrules).expr()
-            cur.expect_end("main")
+    with _positions(text, origin):
+        for decl in _declarations(_scan(text, True), ("qrule", "main")):
+            kind = p.start(decl)
+            if kind == "@":
+                raise _Error("query rules take no annotations", decl[0].at)
+            if main is not None:
+                raise _Error("main must be the last declaration", decl[0].at)
+            if kind == "qrule":
+                qr = p.rule_decl("qrule", {})
+                if qr.name in p.qrules:
+                    diags.append(f"query rule {qr.name!r} declared twice")
+                p.qrules[qr.name] = qr
+                # the extraction side is not a term of the rule's sort, so
+                # only the lhs is checked against the signature
+                _check_rule_patterns(
+                    sig, qr.name, qr.sort, qr.lhs, qr.extract, diags,
+                    kind="query rule", check_rhs_sort=False,
+                )
+            else:
+                p.expect("=")
+                main = p.body("main")
     if main is None:
         diags.append("query program has no main")
     if diags:
         raise LoadError(diags)
-    assert main is not None
-    return QueryProgram(sig, qrules, main)
+    return QueryProgram(sig, p.qrules, main)
 
 
 def load_query_program(sig_path: str, query_path: str) -> QueryProgram:

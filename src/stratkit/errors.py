@@ -8,13 +8,22 @@ class StratkitError(Exception):
 
 
 class ParseError(StratkitError):
-    """A file failed to parse; carries a position when one is known."""
+    """A file failed to parse; carries a position when one is known, and
+    then names the file it is in when `origin` is given."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        line: int | None = None,
+        col: int | None = None,
+        origin: str | None = None,
+    ):
         self.line = line
         self.col = col
         if line is not None:
             where = f"{line}" if col is None else f"{line}:{col}"
+            if origin is not None:
+                where = f"{origin}:{where}"
             message = f"{where}: {message}"
         super().__init__(message)
 

@@ -239,15 +239,26 @@ FAIL = Fail()
 
 
 def free_vars(s: Strategy) -> frozenset[str]:
-    if isinstance(s, Var):
-        return frozenset((s.name,))
-    if isinstance(s, Rec):
-        return free_vars(s.body) - {s.name}
-    if isinstance(s, (Seq, Choice)):
-        return free_vars(s.left) | free_vars(s.right)
-    if isinstance(s, (All, One)):
-        return free_vars(s.body)
-    return frozenset()
+    """The variables of s not bound by a rec around them. The walk keeps
+    its own stack of (node, names bound there), because a program's
+    strategy can be thousands of `;` steps deep."""
+    free: set[str] = set()
+    stack: list[tuple[Strategy, frozenset[str]]] = [(s, frozenset())]
+    while stack:
+        s, bound = stack.pop()
+        if isinstance(s, Var):
+            if s.name not in bound:
+                free.add(s.name)
+        elif isinstance(s, Rec):
+            stack.append((s.body, bound | {s.name}))
+        elif isinstance(s, (Seq, Choice)):
+            stack.append((s.left, bound))
+            stack.append((s.right, bound))
+        elif isinstance(s, (All, One)):
+            stack.append((s.body, bound))
+        elif isinstance(s, Adhoc):
+            stack.append((s.default, bound))
+    return frozenset(free)
 
 
 # Scheme expansions introduce binders no surface program can mention:
@@ -302,6 +313,8 @@ def substitute(s: Strategy, mapping: dict[str, Strategy]) -> Strategy:
         return All(substitute(s.body, mapping))
     if isinstance(s, One):
         return One(substitute(s.body, mapping))
+    if isinstance(s, Adhoc):
+        return Adhoc(substitute(s.default, mapping), s.rule)
     return s
 
 

@@ -259,6 +259,33 @@ def test_nan_literal_in_a_term_file(fixtures_dir, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        (["run"], "bad.strat", "main = 1.5.3\n", "1:8: expected a strategy, found '1.5'"),
+        # a digit that int() rejects was a ValueError traceback and exit 1
+        (["run"], "bad.strat", "main = ²\n", "1:8: unexpected character '²'"),
+        (["lint"], "bad.strat", "\nmain = try(\n", "2:11: expected a strategy, found "
+         "end of input"),
+        (["query"], "bad.query", "main = constq(²)\n", "1:15: unexpected character '²'"),
+    ],
+)
+def test_program_parse_errors_name_the_file(
+    fixtures_dir, tmp_path, command, name, text, message
+):
+    prog = tmp_path / name
+    prog.write_text(text, encoding="utf-8")
+    sig, term = ("company.sig", "c0.term") if name.endswith("query") else (
+        "nat_tree.sig", "tree1.term")
+    argv = [*command, str(fixtures_dir / sig), str(prog)]
+    if command != ["lint"]:
+        argv.append(str(fixtures_dir / "terms" / term))
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"{prog}:{message}\n"
+
+
 @pytest.mark.parametrize("golden", ["lint_bait.out", "fallibility_strict_lint_bait.out"])
 def test_binder_names_do_not_depend_on_earlier_loads(fixtures_dir, golden):
     # one process, two runs: each prints what a fresh process prints

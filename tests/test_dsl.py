@@ -11,6 +11,7 @@ from stratkit.dsl import (
     tokenize,
 )
 from stratkit.errors import LoadError, ParseError
+from stratkit.files import parse_term
 from stratkit.interp import CompiledStrategy, Failure
 from stratkit.queries import (
     UNIT,
@@ -236,6 +237,50 @@ def test_parse_errors_carry_positions(sig):
         parse_program("main = id %", sig)
     assert str(err.value).startswith("1:11:")
     assert err.value.line == 1 and err.value.col == 11
+    # parsed from a string without an origin, an error names no file
+    with pytest.raises(ParseError) as err:
+        parse_program("main = 1.5.3", sig)
+    assert str(err.value) == "1:8: expected a strategy, found '1.5'"
+
+
+def test_loaders_name_the_file_before_the_position(fixtures_dir, tmp_path):
+    prog = tmp_path / "bad.strat"
+    prog.write_text("# a comment\nmain = 1.5.3\n")
+    with pytest.raises(ParseError) as err:
+        load_program(str(fixtures_dir / "nat_tree.sig"), str(prog))
+    assert str(err.value) == f"{prog}:2:8: expected a strategy, found '1.5'"
+    assert (err.value.line, err.value.col) == (2, 8)
+    query = tmp_path / "bad.query"
+    query.write_text("main = failq <+q\n")
+    with pytest.raises(ParseError) as err:
+        load_query_program(str(fixtures_dir / "company.sig"), str(query))
+    assert str(err.value) == f"{query}:1:14: expected a query, found end of input"
+    # semantic diagnostics are not positioned, and name no file
+    prog.write_text("rule r : Mystery = n -> n\nmain = r\n")
+    with pytest.raises(LoadError) as err:
+        load_program(str(fixtures_dir / "nat_tree.sig"), str(prog))
+    assert str(err.value) == "rule 'r': unknown sort 'Mystery'"
+
+
+def test_a_digit_int_cannot_read_is_a_parse_error(sig, company_sig):
+    # '²' is a digit to str.isdigit, but int() rejects it
+    with pytest.raises(ParseError) as err:
+        parse_program("main = ²", sig)
+    assert str(err.value) == "1:8: unexpected character '²'"
+    with pytest.raises(ParseError, match="^1:9: unexpected character '²'$"):
+        parse_program("main = 1²", sig)
+    # an Arabic-Indic digit is a decimal digit: it reads as 3 here, as
+    # it does in a term file
+    assert qmain("main = constq(٣)", company_sig) == ConstQ(3)
+    assert parse_term("٣:Count").value == 3
+
+
+def test_a_ten_thousand_step_program_parses(sig):
+    prog = parse(" main = " + " ; ".join(["try(increment)"] * 10_000), sig)
+    steps, s = 1, prog.main
+    while isinstance(s, Seq):
+        steps, s = steps + 1, s.left
+    assert steps == 10_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Strategy expressions, scheme expansion, and rule application."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stratkit.errors import StratkitError
 from stratkit.strategies import (
@@ -43,7 +45,7 @@ from stratkit.strategies import (
 )
 from stratkit.terms import Lit, Node, PNode, PVar
 
-from genlib import canon, nat
+from genlib import canon, nat, strategy_exprs
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,55 @@ def test_free_vars():
     assert free_vars(Rec("v", Seq(Var("v"), Var("w")))) == {"w"}
     assert free_vars(ID) == frozenset()
     assert free_vars(All(One(Var("z")))) == {"z"}
+    assert free_vars(Rec("v", Adhoc(Choice(Var("v"), Var("w")), RuleDef(
+        "r", "Nat", PVar("n"), PVar("n"))))) == {"w"}
+
+
+def ref_free_vars(s):
+    """The recursive definition free_vars must agree with."""
+    if isinstance(s, Var):
+        return frozenset((s.name,))
+    if isinstance(s, Rec):
+        return ref_free_vars(s.body) - {s.name}
+    if isinstance(s, (Seq, Choice)):
+        return ref_free_vars(s.left) | ref_free_vars(s.right)
+    if isinstance(s, (All, One)):
+        return ref_free_vars(s.body)
+    if isinstance(s, Adhoc):
+        return ref_free_vars(s.default)
+    return frozenset()
+
+
+names = st.sampled_from(["v", "w", "x"])
+open_exprs = st.recursive(
+    st.one_of(strategy_exprs(max_leaves=3), names.map(Var)),
+    lambda sub: st.one_of(
+        st.tuples(names, sub).map(lambda p: Rec(*p)),
+        st.tuples(sub, sub).map(lambda p: Seq(*p)),
+        st.tuples(sub, sub).map(lambda p: Choice(*p)),
+        sub.map(All),
+        sub.map(One),
+        sub.map(lambda d: Adhoc(d, RuleDef("r", "Nat", PVar("n"), PVar("n")))),
+    ),
+    max_leaves=12,
+)
+
+
+@given(open_exprs)
+def test_free_vars_agrees_with_the_recursive_definition(s):
+    assert free_vars(s) == ref_free_vars(s)
+
+
+def test_free_vars_of_a_ten_thousand_step_chain():
+    s = Var("x")
+    for i in range(10_000):
+        s = Seq(s, Rec("v", Var("v" if i % 2 else "y")))
+    assert free_vars(s) == {"x", "y"}
+
+
+def test_substitute_reaches_an_adhoc_default(inc):
+    s = Adhoc(Var("s"), inc)
+    assert substitute(s, {"s": ID}) == Adhoc(ID, inc)
 
 
 # ---------------------------------------------------------------------------
