@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from .dsl import Program, load_program, load_query_program
+from .dsl import load_program, load_query_program
 from .errors import StratkitError
 from .fallibility import Sf, scan_dead_choices, sf_analyse, sf_type_of
 from .files import load_term, term_to_sexpr
@@ -46,9 +46,9 @@ def _die(message: str, code: int) -> None:
 
 
 class _Main(click.Group):
-    """The command group. The loaders and analyses recurse on the Python
-    stack over nested input; input too deep for it is a usage error (exit
-    2) with one line on stderr, not a traceback under the findings code."""
+    """The command group. Only the parser on nested forms and the query
+    compiler recurse on the Python stack; input too deep for them is a usage
+    error (exit 2) on one stderr line, not a traceback under the findings code."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -132,9 +132,10 @@ def analyze() -> None:
     """Static analyses over a loaded program."""
 
 
-def _load_for_analysis(signature: str, program: str) -> Program:
+def _usage(fn, *args):
+    """fn(*args), with a StratkitError from it reported as a usage error."""
     try:
-        return load_program(signature, program)
+        return fn(*args)
     except StratkitError as exc:
         _die(str(exc), 2)
         raise AssertionError  # unreachable
@@ -153,7 +154,7 @@ def _type_text(t) -> str:
               help="Reject choices whose left operand cannot fail.")
 def fallibility(signature: str, program: str, strict: bool) -> None:
     """Success/failure behavior of each definition and of main."""
-    prog = _load_for_analysis(signature, program)
+    prog = _usage(load_program, signature, program)
     findings = 0
     items = [(f"def {name}", d.body, d.params) for name, d in prog.defs.items()]
     items.append(("main", prog.main, ()))
@@ -179,13 +180,9 @@ def fallibility(signature: str, program: str, strict: bool) -> None:
 @click.option("--root", required=True, help="Sort of the run's root terms.")
 def reach(signature: str, program: str, root: str) -> None:
     """Which rules can fire, per root sort; dead cases from --root."""
-    prog = _load_for_analysis(signature, program)
-    try:
-        rmap = reach_analyse(prog.signature, prog.main)
-        dead = dead_case_report(prog.signature, prog.main, root)
-    except StratkitError as exc:
-        _die(str(exc), 2)
-        raise AssertionError
+    prog = _usage(load_program, signature, program)
+    rmap = _usage(reach_analyse, prog.signature, prog.main)
+    dead = _usage(dead_case_report, prog.signature, prog.main, root)
     for sort in sorted(rmap):
         cases = ", ".join(sorted(rmap[sort]))
         click.echo(f"{sort}: {{{cases}}}")
@@ -202,12 +199,8 @@ def reach(signature: str, program: str, root: str) -> None:
               help='Measure components, e.g. "count:Lam,depth".')
 def termination(signature: str, program: str, measure_spec: str) -> None:
     """Prove (or fail to prove) termination under a measure."""
-    prog = _load_for_analysis(signature, program)
-    try:
-        m = parse_measure(measure_spec)
-    except StratkitError as exc:
-        _die(str(exc), 2)
-        raise AssertionError
+    prog = _usage(load_program, signature, program)
+    m = _usage(parse_measure, measure_spec)
     findings = 0
     unknown = ((ANY,) * len(m), False)
     items = [(f"def {name}", d.body, d.params) for name, d in prog.defs.items()]
@@ -260,7 +253,7 @@ def laws(seed: int, cases: int) -> None:
 @click.option("--measure", "measure_spec", default="depth", show_default=True)
 def lint(signature: str, program: str, root: str | None, measure_spec: str) -> None:
     """All load checks, lints, and analysis findings in one pass."""
-    prog = _load_for_analysis(signature, program)
+    prog = _usage(load_program, signature, program)
     findings = 0
     for line in prog.lints:
         findings += 1
@@ -276,19 +269,11 @@ def lint(signature: str, program: str, root: str | None, measure_spec: str) -> N
                 f"left operand {left} cannot fail"
             )
     if root is not None:
-        try:
-            dead = dead_case_report(prog.signature, prog.main, root)
-        except StratkitError as exc:
-            _die(str(exc), 2)
-            raise AssertionError
+        dead = _usage(dead_case_report, prog.signature, prog.main, root)
         for _case, diagnostic in dead:
             findings += 1
             click.echo(diagnostic)
-    try:
-        m = parse_measure(measure_spec)
-    except StratkitError as exc:
-        _die(str(exc), 2)
-        raise AssertionError
+    m = _usage(parse_measure, measure_spec)
     unknown = ((ANY,) * len(m), False)
     for label, body, params in items:
         env = {p: unknown for p in params}

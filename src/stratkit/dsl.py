@@ -77,6 +77,7 @@ from .strategies import (
     Var,
     binder_numbering,
     family,
+    free_occurrences,
     free_vars,
     full_bu,
     full_bu1,
@@ -682,23 +683,9 @@ def _check_rule_patterns(
 
 
 def _param_linearity_lints(d: Def, lints: list[str]) -> None:
-    counts: dict[str, int] = {p: 0 for p in d.params}
-    stack = [d.body]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Var) and s.name in counts:
-            counts[s.name] += 1
-        elif isinstance(s, (Seq, Choice)):
-            stack.extend((s.left, s.right))
-        elif isinstance(s, (All, One)):
-            stack.append(s.body)
-        elif isinstance(s, Adhoc):
-            stack.append(s.default)
-        elif isinstance(s, Rec):
-            if s.name not in counts:
-                stack.append(s.body)
+    counts = free_occurrences(d.body)
     for p in d.params:
-        if counts[p] > 1:
+        if counts.get(p, 0) > 1:
             lints.append(
                 f"def {d.name!r}: parameter {p!r} is used {counts[p]} times; "
                 "expansion duplicates its argument"

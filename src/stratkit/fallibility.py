@@ -18,10 +18,11 @@ own conservative merge: infallible only when both branches are.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Generator, Optional, TypeVar
 
 from .errors import EngineError
 from .strategies import (
+    CHILD_FIELDS,
     Adhoc,
     All,
     Choice,
@@ -35,6 +36,9 @@ from .strategies import (
     Seq,
     Strategy,
     Var,
+    lookup,
+    print_strategy,
+    walk,
 )
 from .terms import PVar
 
@@ -100,12 +104,13 @@ def sf_choice(x: Sf, y: Sf) -> Sf:
 _X = TypeVar("_X")
 
 
-def fix_eq(f: Callable[[_X], _X], bottom: _X) -> _X:
-    """Least fixpoint by iteration from bottom; callers guarantee f is
-    monotone over a finite-height lattice."""
+def fix_eq(f: Callable[[_X], tuple], bottom: _X) -> Generator:
+    """Step fragment for `yield from`: the least fixpoint of the walk's
+    result for the call f(x), by iteration from bottom; callers
+    guarantee that map is monotone over a finite-height lattice."""
     x = bottom
     while True:
-        nxt = f(x)
+        nxt = yield f(x)
         if nxt == x:
             return x
         x = nxt
@@ -124,30 +129,30 @@ def rule_infallible(rule: Rule) -> bool:
 
 
 def sf_analyse(s: Strategy, env: Optional[dict[str, Sf]] = None) -> Sf:
-    env = env or {}
+    return walk(_sf_analyse, s, env or {})
+
+
+def _sf_analyse(s: Strategy, env: dict[str, Sf]):
     if isinstance(s, Id):
         return FS
     if isinstance(s, Fail):
         return EF
     if isinstance(s, Seq):
-        return sf_seq(sf_analyse(s.left, env), sf_analyse(s.right, env))
+        return sf_seq((yield s.left, env), (yield s.right, env))
     if isinstance(s, Choice):
-        return sf_choice(sf_analyse(s.left, env), sf_analyse(s.right, env))
+        return sf_choice((yield s.left, env), (yield s.right, env))
     if isinstance(s, Var):
-        try:
-            return env[s.name]
-        except KeyError:
-            raise EngineError(f"unbound strategy variable {s.name!r}") from None
+        return lookup(env, s.name)
     if isinstance(s, Rec):
-        return fix_eq(lambda x: sf_analyse(s.body, {**env, s.name: x}), NONE)
+        return (yield from fix_eq(lambda x: (s.body, {**env, s.name: x}), NONE))
     if isinstance(s, All):
-        return sf_analyse(s.body, env)
+        return (yield s.body, env)
     if isinstance(s, One):
         return EF
     if isinstance(s, RuleRef):
         return FS if rule_infallible(s.rule) else EF
     if isinstance(s, Adhoc):
-        d = sf_analyse(s.default, env)
+        d = yield s.default, env
         r = FS if rule_infallible(s.rule) else EF
         if d is NONE:
             return NONE
@@ -173,48 +178,48 @@ def sf_type_of(
     In strict mode a choice with a True-typed left operand is untypable:
     its right operand is dead code.
     """
-    ctx = ctx or {}
+    return walk(_sf_type_of, s, ctx or {}, strict)
+
+
+def _sf_type_of(s: Strategy, ctx: dict[str, bool], strict: bool):
     if isinstance(s, Id):
         return True
     if isinstance(s, Fail):
         return False
     if isinstance(s, Seq):
-        a = sf_type_of(s.left, ctx, strict)
-        b = sf_type_of(s.right, ctx, strict)
+        a = yield s.left, ctx, strict
+        b = yield s.right, ctx, strict
         if a is None or b is None:
             return None
         return a and b
     if isinstance(s, Choice):
-        a = sf_type_of(s.left, ctx, strict)
+        a = yield s.left, ctx, strict
         if a is None:
             return None
         if strict and a is True:
             return None
-        b = sf_type_of(s.right, ctx, strict)
+        b = yield s.right, ctx, strict
         if b is None:
             return None
         return a or b
     if isinstance(s, Var):
-        try:
-            return ctx[s.name]
-        except KeyError:
-            raise EngineError(f"unbound strategy variable {s.name!r}") from None
+        return lookup(ctx, s.name)
     if isinstance(s, Rec):
         for assumption in (True, False):
-            got = sf_type_of(s.body, {**ctx, s.name: assumption}, strict)
+            got = yield s.body, {**ctx, s.name: assumption}, strict
             if got == assumption:
                 return assumption
         return None
     if isinstance(s, All):
-        return sf_type_of(s.body, ctx, strict)
+        return (yield s.body, ctx, strict)
     if isinstance(s, One):
-        if sf_type_of(s.body, ctx, strict) is None:
+        if (yield s.body, ctx, strict) is None:
             return None
         return False
     if isinstance(s, RuleRef):
         return rule_infallible(s.rule)
     if isinstance(s, Adhoc):
-        a = sf_type_of(s.default, ctx, strict)
+        a = yield s.default, ctx, strict
         if a is None:
             return None
         return a and rule_infallible(s.rule)
@@ -229,31 +234,28 @@ def scan_dead_choices(
     names from the root. Works on untypable expressions too: the scan
     only needs the left operand's own type.
     """
-    from .strategies import print_strategy
-
-    ctx = ctx or {}
     found: list[tuple[str, str]] = []
-
-    def walk(node: Strategy, ctx: dict[str, bool], path: tuple[str, ...]) -> None:
-        if isinstance(node, Choice):
-            if sf_type_of(node.left, ctx) is True:
-                found.append(
-                    ("/".join(path) or "root", print_strategy(node.left))
-                )
-            walk(node.left, ctx, path + ("left",))
-            walk(node.right, ctx, path + ("right",))
-        elif isinstance(node, Seq):
-            walk(node.left, ctx, path + ("left",))
-            walk(node.right, ctx, path + ("right",))
-        elif isinstance(node, (All, One)):
-            walk(node.body, ctx, path + ("body",))
-        elif isinstance(node, Rec):
-            # scan under the optimistic assumption first; if the body
-            # does not support it, fall back to fallible
-            assumed = sf_type_of(node, ctx)
-            walk(node.body, {**ctx, node.name: bool(assumed)}, path + ("body",))
-        elif isinstance(node, Adhoc):
-            walk(node.default, ctx, path + ("default",))
-
-    walk(s, ctx, ())
+    walk(_scan_dead_choices, s, ctx or {}, None, found)
     return found
+
+
+def _scan_dead_choices(
+    node: Strategy, ctx: dict[str, bool], path: Optional[tuple], found: list
+):
+    # path links (field, parent's path) back to the root, None; it is
+    # spelt out only for a finding, so the scan stays linear
+    if isinstance(node, Choice):
+        if sf_type_of(node.left, ctx) is True:
+            fields = []
+            while path is not None:
+                field, path = path
+                fields.append(field)
+            text = "/".join(reversed(fields)) or "root"
+            found.append((text, print_strategy(node.left)))
+    elif isinstance(node, Rec):
+        # scan under the optimistic assumption first; if the body
+        # does not support it, fall back to fallible
+        assumed = sf_type_of(node, ctx)
+        ctx = {**ctx, node.name: bool(assumed)}
+    for field in CHILD_FIELDS.get(type(node), ()):
+        yield getattr(node, field), ctx, (field, path), found

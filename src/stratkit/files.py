@@ -34,14 +34,16 @@ def list_sort(elem: str) -> str:
     return f"[{elem}]"
 
 
-def parse_signature(text: str, origin: str = "<signature>") -> Signature:
+def parse_signature(text: str, origin: Optional[str] = None) -> Signature:
+    """The signature in text; a declaration's error reads `[origin:]line:col: …`."""
     sorts: list[str] = []
     prims: dict[str, str] = {}
     symbols: list[Symbol] = []
-    list_elems: list[tuple[str, int]] = []
+    list_elems: list[tuple[str, int, str]] = []
 
     def err(lineno: int, msg: str) -> ParseError:
-        return ParseError(f"{origin}: {msg}", line=lineno)
+        col = len(raw) - len(raw.lstrip()) + 1  # raw: the declaration's line
+        return ParseError(msg, lineno, col, origin=origin)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -65,7 +67,7 @@ def parse_signature(text: str, origin: str = "<signature>") -> Signature:
             elem = line[5:].strip()
             if not elem or " " in elem:
                 raise err(lineno, f"bad list declaration {raw.strip()!r}")
-            list_elems.append((elem, lineno))
+            list_elems.append((elem, lineno, raw))
         elif ":" in line:
             name, sig_part = (part.strip() for part in line.split(":", 1))
             if "->" not in sig_part:
@@ -84,7 +86,7 @@ def parse_signature(text: str, origin: str = "<signature>") -> Signature:
             raise err(lineno, f"unrecognised declaration {raw.strip()!r}")
 
     declared = set(sorts)
-    for elem, lineno in list_elems:
+    for elem, lineno, raw in list_elems:
         if elem not in declared:
             raise err(lineno, f"list declaration for unknown sort {elem!r}")
         ls = list_sort(elem)
@@ -95,7 +97,7 @@ def parse_signature(text: str, origin: str = "<signature>") -> Signature:
     try:
         return Signature(sorts, symbols, prims)
     except SignatureError as e:
-        raise ParseError(f"{origin}: {e}") from None
+        raise ParseError(str(e) if origin is None else f"{origin}: {e}") from None
 
 
 def load_signature(path: str) -> Signature:

@@ -35,7 +35,9 @@ from .strategies import (
     Seq,
     Strategy,
     Var,
+    lookup,
     rule_names,
+    walk,
 )
 from .terms import Lit, Node, PLit, PNode, PVar, Signature, Term, match
 
@@ -184,30 +186,27 @@ def _compile(s: Strategy, sig: Signature, env: dict[str, _Cell]):
     if isinstance(s, Fail):
         return (OP_FAIL,)
     if isinstance(s, Seq):
-        return (OP_SEQ, _compile(s.left, sig, env), _compile(s.right, sig, env))
+        return (OP_SEQ, (yield s.left, sig, env), (yield s.right, sig, env))
     if isinstance(s, Choice):
-        return (OP_CHOICE, _compile(s.left, sig, env), _compile(s.right, sig, env))
+        return (OP_CHOICE, (yield s.left, sig, env), (yield s.right, sig, env))
     if isinstance(s, All):
-        return (OP_ALL, _compile(s.body, sig, env))
+        return (OP_ALL, (yield s.body, sig, env))
     if isinstance(s, One):
-        return (OP_ONE, _compile(s.body, sig, env))
+        return (OP_ONE, (yield s.body, sig, env))
     if isinstance(s, Var):
-        cell = env.get(s.name)
-        if cell is None:
-            raise EngineError(f"unbound strategy variable {s.name!r}")
-        return (OP_VAR, cell)
+        return (OP_VAR, lookup(env, s.name))
     if isinstance(s, Rec):
         cell = _Cell()
         inner = dict(env)
         inner[s.name] = cell
-        cell.code = _compile(s.body, sig, inner)
+        cell.code = yield s.body, sig, inner
         return cell.code
     if isinstance(s, RuleRef):
         return (OP_RULE, compile_rule(s.rule, sig, True), rule_names(s.rule))
     if isinstance(s, Adhoc):
         return (
             OP_ADHOC,
-            _compile(s.default, sig, env),
+            (yield s.default, sig, env),
             s.rule.sort,
             compile_rule(s.rule, sig, False),
             rule_names(s.rule),
@@ -222,7 +221,7 @@ class CompiledStrategy:
         self.strategy = strategy
         self.sig = sig
         self._constr_sort = sig.constr_sort
-        self._code = _compile(strategy, sig, {})
+        self._code = walk(_compile, strategy, sig, {})
 
     def run(
         self,

@@ -29,19 +29,23 @@ from .strategies import (
     All,
     Choice,
     One,
+    Rec,
     Rule,
     RuleDef,
     RuleRef,
     Seq,
     Strategy,
+    children,
     full_bu,
     full_td,
     innermost,
     once_bu,
     once_td,
     print_strategy,
+    rebuild,
     stop_td,
     try_,
+    walk,
 )
 from .terms import (
     Lit,
@@ -192,24 +196,14 @@ def gen_strategy(
         if roll < 0.5:
             return FAIL
         return RuleRef(rng.choice(rules))
-    shape = rng.randrange(5)
-    if shape == 0:
+    shape = (Seq, Choice, All, One, Adhoc)[rng.randrange(5)]
+    if shape is Seq or shape is Choice:
         cut = rng.randrange(1, size - 1) if size > 2 else 1
-        return Seq(
-            gen_strategy(rules, rng, cut),
-            gen_strategy(rules, rng, size - 1 - cut),
-        )
-    if shape == 1:
-        cut = rng.randrange(1, size - 1) if size > 2 else 1
-        return Choice(
-            gen_strategy(rules, rng, cut),
-            gen_strategy(rules, rng, size - 1 - cut),
-        )
-    if shape == 2:
-        return All(gen_strategy(rules, rng, size - 1))
-    if shape == 3:
-        return One(gen_strategy(rules, rng, size - 1))
-    return Adhoc(gen_strategy(rules, rng, size - 1), rng.choice(rules))
+        left = gen_strategy(rules, rng, cut)
+        return shape(left, gen_strategy(rules, rng, size - 1 - cut))
+    if shape is Adhoc:
+        return Adhoc(gen_strategy(rules, rng, size - 1), rng.choice(rules))
+    return shape(gen_strategy(rules, rng, size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +326,6 @@ def _case_mismatch(
     return not _outcomes_equal(left, right)
 
 
-def _subexpressions(s: Strategy) -> list[Strategy]:
-    if isinstance(s, (Seq, Choice)):
-        return [s.left, s.right]
-    if isinstance(s, (All, One)):
-        return [s.body]
-    if isinstance(s, Adhoc):
-        return [s.default]
-    return []
-
-
 def _shrink(
     law: Law,
     strategies: tuple[Strategy, ...],
@@ -363,7 +347,8 @@ def _shrink(
         if improved:
             continue
         for i, s in enumerate(strategies):
-            for repl in [ID, FAIL] + _subexpressions(s):
+            # a rec's body alone would leave its binder unbound
+            for repl in (ID, FAIL, *(() if isinstance(s, Rec) else children(s))):
                 if repl == s:
                     continue
                 candidate = strategies[:i] + (repl,) + strategies[i + 1 :]
@@ -681,19 +666,15 @@ def _adhocify(s: Strategy) -> Strategy:
     for strategies where rules enter through adhoc, so the soundness
     sampler normalizes to that fragment.
     """
+    return walk(_adhocify_step, s)
+
+
+def _adhocify_step(s: Strategy):
     if isinstance(s, RuleRef):
         return Adhoc(ID, s.rule)
-    if isinstance(s, Seq):
-        return Seq(_adhocify(s.left), _adhocify(s.right))
-    if isinstance(s, Choice):
-        return Choice(_adhocify(s.left), _adhocify(s.right))
-    if isinstance(s, All):
-        return All(_adhocify(s.body))
-    if isinstance(s, One):
-        return One(_adhocify(s.body))
-    if isinstance(s, Adhoc):
-        return Adhoc(_adhocify(s.default), s.rule)
-    return s
+    if isinstance(s, Rec):
+        return s  # the sampler's strategies are rec-free
+    return (yield from rebuild(s))
 
 
 def check_soundness(

@@ -27,7 +27,10 @@ from .strategies import (
     Seq,
     Strategy,
     Var,
+    children,
+    lookup,
     rule_names,
+    walk,
 )
 from .terms import Signature, Sort
 
@@ -77,53 +80,40 @@ def reach_analyse(
     s: Strategy,
     env: Optional[dict[str, ReachMap]] = None,
 ) -> ReachMap:
-    env = env or {}
+    return walk(_reach_analyse, s, sig, env or {})
+
+
+def _reach_analyse(s: Strategy, sig: Signature, env: dict[str, ReachMap]):
     if isinstance(s, (Id, Fail)):
         return reach_bottom(sig)
     if isinstance(s, (Seq, Choice)):
-        return reach_lub(
-            reach_analyse(sig, s.left, env), reach_analyse(sig, s.right, env)
-        )
+        return reach_lub((yield s.left, sig, env), (yield s.right, sig, env))
     if isinstance(s, Var):
-        try:
-            return env[s.name]
-        except KeyError:
-            raise EngineError(f"unbound strategy variable {s.name!r}") from None
+        return lookup(env, s.name)
     if isinstance(s, Rec):
-        return fix_eq(
-            lambda m: reach_analyse(sig, s.body, {**env, s.name: m}),
-            reach_bottom(sig),
-        )
+        bottom = reach_bottom(sig)
+        return (yield from fix_eq(lambda m: (s.body, sig, {**env, s.name: m}), bottom))
     if isinstance(s, (All, One)):
-        return reach_transform(sig, reach_analyse(sig, s.body, env))
+        return reach_transform(sig, (yield s.body, sig, env))
     if isinstance(s, RuleRef):
         return _rule_map(sig, s.rule)
     if isinstance(s, Adhoc):
-        return reach_lub(
-            reach_analyse(sig, s.default, env), _rule_map(sig, s.rule)
-        )
+        return reach_lub((yield s.default, sig, env), _rule_map(sig, s.rule))
     raise EngineError(f"cannot analyse {s!r}")
 
 
 def mentioned_cases(s: Strategy) -> frozenset[str]:
     """Names of all rules appearing syntactically in s."""
     out: set[str] = set()
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Seq, Choice)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (All, One)):
-            stack.append(node.body)
-        elif isinstance(node, Rec):
-            stack.append(node.body)
-        elif isinstance(node, RuleRef):
-            out.update(rule_names(node.rule))
-        elif isinstance(node, Adhoc):
-            stack.append(node.default)
-            out.update(rule_names(node.rule))
+    walk(_mention_cases, s, out)
     return frozenset(out)
+
+
+def _mention_cases(s: Strategy, out: set[str]):
+    if isinstance(s, (RuleRef, Adhoc)):
+        out.update(rule_names(s.rule))
+    for child in children(s):
+        yield child, out
 
 
 def dead_case_report(

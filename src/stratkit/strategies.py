@@ -14,11 +14,11 @@ import itertools
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Generator, Iterator, Optional, Union
 
-from .errors import StratkitError
-from .terms import Lit, Node, Pattern, Signature, Term, instantiate, match, sort_of
+from .errors import EngineError, StratkitError
+from .terms import Lit, Node, Pattern, Term
 
 # ---------------------------------------------------------------------------
 # Rules
@@ -146,32 +146,6 @@ GUARDS: dict[str, Callable[[Term], bool]] = {
 }
 
 
-def apply_rule(rule: Rule, t: Term, sig: Signature) -> Optional[Term]:
-    """One rule application at the root, or None. Sort mismatch is a
-    plain failure, not an error: ad hoc dispatch relies on it."""
-    if isinstance(rule, RuleDef):
-        if sort_of(sig, t) != rule.sort:
-            return None
-        binding = match(rule.lhs, t)
-        if binding is None:
-            return None
-        if rule.guard is not None and not GUARDS[rule.guard](t):
-            return None
-        return instantiate(rule.rhs, binding)
-    if isinstance(rule, RuleChoice):
-        for m in rule.members:
-            out = apply_rule(m, t, sig)
-            if out is not None:
-                return out
-        return None
-    for m in rule.members:
-        out = apply_rule(m, t, sig)
-        if out is None:
-            return None
-        t = out
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Strategy expressions
 
@@ -238,27 +212,85 @@ ID = Id()
 FAIL = Fail()
 
 
-def free_vars(s: Strategy) -> frozenset[str]:
-    """The variables of s not bound by a rec around them. The walk keeps
-    its own stack of (node, names bound there), because a program's
-    strategy can be thousands of `;` steps deep."""
-    free: set[str] = set()
-    stack: list[tuple[Strategy, frozenset[str]]] = [(s, frozenset())]
+# ---------------------------------------------------------------------------
+# Walking strategies
+
+#: The fields of each constructor that hold sub-strategies, in the order
+#: every walk visits them. Every other constructor is a leaf.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Seq: ("left", "right"),
+    Choice: ("left", "right"),
+    All: ("body",),
+    One: ("body",),
+    Rec: ("body",),
+    Adhoc: ("default",),
+}
+
+
+def children(s: Strategy) -> tuple[Strategy, ...]:
+    """The direct sub-strategies of s, in field-table order."""
+    return tuple(getattr(s, f) for f in CHILD_FIELDS.get(type(s), ()))
+
+
+def walk(step: Callable[..., Generator], s: Strategy, *args):
+    """The result of step(s, *args), run on one explicit stack.
+
+    A step is a generator function written as the recursive function it
+    replaces: where it would call itself it yields the call's arguments,
+    `(yield child, *args)`, and is sent back that call's result; what it
+    returns is its own result. A program's strategy can be thousands of
+    `;` steps deep, so no walk may use the Python stack for depth.
+    """
+    stack = [step(s, *args)]
+    value = None
     while stack:
-        s, bound = stack.pop()
-        if isinstance(s, Var):
-            if s.name not in bound:
-                free.add(s.name)
-        elif isinstance(s, Rec):
-            stack.append((s.body, bound | {s.name}))
-        elif isinstance(s, (Seq, Choice)):
-            stack.append((s.left, bound))
-            stack.append((s.right, bound))
-        elif isinstance(s, (All, One)):
-            stack.append((s.body, bound))
-        elif isinstance(s, Adhoc):
-            stack.append((s.default, bound))
-    return frozenset(free)
+        try:
+            stack.append(step(*stack[-1].send(value)))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
+def rebuild(s: Strategy, *args) -> Generator:
+    """Step fragment for `yield from`: s with each child replaced by the
+    result of the walk's call on (child, *args); a leaf is returned as
+    it is."""
+    changed = {}
+    for f in CHILD_FIELDS.get(type(s), ()):
+        changed[f] = yield getattr(s, f), *args
+    return replace(s, **changed) if changed else s
+
+
+def lookup(env: dict, name: str):
+    """What env binds a strategy variable to."""
+    try:
+        return env[name]
+    except KeyError:
+        raise EngineError(f"unbound strategy variable {name!r}") from None
+
+
+def free_occurrences(s: Strategy) -> dict[str, int]:
+    """How often each variable occurs in s outside every rec that binds
+    it; variables with no free occurrence are absent."""
+    counts: dict[str, int] = {}
+    walk(_count_free, s, frozenset(), counts)
+    return counts
+
+
+def _count_free(s: Strategy, bound: frozenset[str], counts: dict[str, int]):
+    if isinstance(s, Var) and s.name not in bound:
+        counts[s.name] = counts.get(s.name, 0) + 1
+    elif isinstance(s, Rec):
+        bound = bound | {s.name}
+    for child in children(s):
+        yield child, bound, counts
+
+
+def free_vars(s: Strategy) -> frozenset[str]:
+    """The variables of s not bound by a rec around them."""
+    return frozenset(free_occurrences(s))
 
 
 # Scheme expansions introduce binders no surface program can mention:
@@ -289,6 +321,10 @@ def substitute(s: Strategy, mapping: dict[str, Strategy]) -> Strategy:
     """Capture-avoiding substitution of variables by strategies."""
     if not mapping:
         return s
+    return walk(_substitute, s, mapping)
+
+
+def _substitute(s: Strategy, mapping: dict[str, Strategy]):
     if isinstance(s, Var):
         return mapping.get(s.name, s)
     if isinstance(s, Rec):
@@ -302,20 +338,10 @@ def substitute(s: Strategy, mapping: dict[str, Strategy]) -> Strategy:
             renamed = _fresh_var()
             while renamed in taken:
                 renamed = _fresh_var()
-            body = substitute(s.body, {s.name: Var(renamed)})
-            return Rec(renamed, substitute(body, inner))
-        return Rec(s.name, substitute(s.body, inner))
-    if isinstance(s, Seq):
-        return Seq(substitute(s.left, mapping), substitute(s.right, mapping))
-    if isinstance(s, Choice):
-        return Choice(substitute(s.left, mapping), substitute(s.right, mapping))
-    if isinstance(s, All):
-        return All(substitute(s.body, mapping))
-    if isinstance(s, One):
-        return One(substitute(s.body, mapping))
-    if isinstance(s, Adhoc):
-        return Adhoc(substitute(s.default, mapping), s.rule)
-    return s
+            body = yield s.body, {s.name: Var(renamed)}
+            return Rec(renamed, (yield body, inner))
+        mapping = inner
+    return (yield from rebuild(s, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +458,10 @@ def family(cases: list[Rule] | tuple[Rule, ...], default: Strategy) -> Strategy:
 def print_strategy(s: Strategy) -> str:
     """Concrete syntax with minimal parentheses; `;` binds tighter than
     `<+` and rec extends as far right as possible."""
-    return _print(s, 0)
+    return walk(_print, s, 0)
 
 
-def _print(s: Strategy, min_prec: int) -> str:
+def _print(s: Strategy, min_prec: int):
     if isinstance(s, Id):
         return "id"
     if isinstance(s, Fail):
@@ -445,18 +471,18 @@ def _print(s: Strategy, min_prec: int) -> str:
     if isinstance(s, RuleRef):
         return s.rule.name
     if isinstance(s, All):
-        return f"all({_print(s.body, 0)})"
+        return f"all({(yield s.body, 0)})"
     if isinstance(s, One):
-        return f"one({_print(s.body, 0)})"
+        return f"one({(yield s.body, 0)})"
     if isinstance(s, Adhoc):
-        return f"adhoc({_print(s.default, 0)},{s.rule.name})"
+        return f"adhoc({(yield s.default, 0)},{s.rule.name})"
     if isinstance(s, Rec):
-        text = f"rec {s.name}. {_print(s.body, 0)}"
+        text = f"rec {s.name}. {(yield s.body, 0)}"
         return f"({text})" if min_prec > 0 else text
     if isinstance(s, Seq):
-        text = f"{_print(s.left, 1)} ; {_print(s.right, 2)}"
+        text = f"{(yield s.left, 1)} ; {(yield s.right, 2)}"
         return f"({text})" if min_prec > 1 else text
     if isinstance(s, Choice):
-        text = f"{_print(s.left, 0)} <+ {_print(s.right, 1)}"
+        text = f"{(yield s.left, 0)} <+ {(yield s.right, 1)}"
         return f"({text})" if min_prec > 0 else text
     raise StratkitError(f"cannot print {s!r}")

@@ -36,6 +36,8 @@ from .strategies import (
     Seq,
     Strategy,
     Var,
+    lookup,
+    walk,
 )
 from .terms import Pattern, PLit, PNode, PVar
 
@@ -335,28 +337,28 @@ def term_analyse(
     r: RelVec,
     env: Optional[TermEnv] = None,
 ) -> Optional[RelVec]:
-    env = env or {}
+    return walk(_term_analyse, s, m, r, env or {})
+
+
+def _term_analyse(s: Strategy, m: Measure, r: RelVec, env: TermEnv):
     n = len(m)
     if isinstance(s, Id):
         return r
     if isinstance(s, Fail):
         return (LESS,) * n
     if isinstance(s, Seq):
-        left = term_analyse(s.left, m, r, env)
+        left = yield s.left, m, r, env
         if left is None:
             return None
-        return term_analyse(s.right, m, left, env)
+        return (yield s.right, m, left, env)
     if isinstance(s, Choice):
-        a = term_analyse(s.left, m, r, env)
-        b = term_analyse(s.right, m, r, env)
+        a = yield s.left, m, r, env
+        b = yield s.right, m, r, env
         if a is None or b is None:
             return None
         return vec_lub(a, b)
     if isinstance(s, Var):
-        try:
-            eff, recursive = env[s.name]
-        except KeyError:
-            raise EngineError(f"unbound strategy variable {s.name!r}") from None
+        eff, recursive = lookup(env, s.name)
         if len(eff) != n:
             raise EngineError(
                 f"effect for {s.name!r} has {len(eff)} components, "
@@ -369,13 +371,13 @@ def term_analyse(
         for e in itertools.product((LESS, LEQ, ANY), repeat=n):
             inner = dict(env)
             inner[s.name] = (e, True)
-            got = term_analyse(s.body, m, leqs(m), inner)
+            got = yield s.body, m, leqs(m), inner
             if got is not None and vec_leq(got, e):
                 return vec_plus(r, e)
         return None
     if isinstance(s, (All, One)):
         down = r[:-1] + (rel_decrease(r[-1]),)
-        got = term_analyse(s.body, m, down, env)
+        got = yield s.body, m, down, env
         if got is None:
             return None
         prefix = got[:-1]
@@ -387,7 +389,7 @@ def term_analyse(
     if isinstance(s, RuleRef):
         return vec_plus(r, rule_effect(s.rule, m))
     if isinstance(s, Adhoc):
-        a = term_analyse(s.default, m, r, env)
+        a = yield s.default, m, r, env
         if a is None:
             return None
         return vec_lub(a, vec_plus(r, rule_effect(s.rule, m)))

@@ -1,12 +1,55 @@
-"""Shared term builders and hypothesis generators for the test suite."""
+"""Shared term builders, hypothesis generators and reference rule
+semantics for the test suite."""
 
 import itertools
 
 from hypothesis import strategies as st
 
 from stratkit.laws import builtin_rules
-from stratkit.strategies import FAIL, ID, Adhoc, All, Choice, One, Rec, RuleRef, Seq, Var
-from stratkit.terms import Node
+from stratkit.strategies import (
+    FAIL,
+    GUARDS,
+    ID,
+    Adhoc,
+    All,
+    Choice,
+    One,
+    Rec,
+    RuleChoice,
+    RuleDef,
+    RuleRef,
+    Seq,
+    Var,
+)
+from stratkit.terms import Node, instantiate, match, sort_of
+
+
+def apply_rule(rule, t, sig):
+    """One rule application at the root, or None: the rule semantics
+    the compiled appliers of `stratkit.interp` are tested against. Sort
+    mismatch is a plain failure, not an error: ad hoc dispatch relies on
+    it."""
+    if isinstance(rule, RuleDef):
+        if sort_of(sig, t) != rule.sort:
+            return None
+        binding = match(rule.lhs, t)
+        if binding is None:
+            return None
+        if rule.guard is not None and not GUARDS[rule.guard](t):
+            return None
+        return instantiate(rule.rhs, binding)
+    if isinstance(rule, RuleChoice):
+        for m in rule.members:
+            out = apply_rule(m, t, sig)
+            if out is not None:
+                return out
+        return None
+    for m in rule.members:
+        out = apply_rule(m, t, sig)
+        if out is None:
+            return None
+        t = out
+    return t
 
 
 def canon(s):

@@ -286,6 +286,18 @@ def test_program_parse_errors_name_the_file(
     assert result.stderr == f"{prog}:{message}\n"
 
 
+def test_signature_parse_errors_name_the_file_then_line_and_column(
+    fixtures_dir, tmp_path
+):
+    bad = tmp_path / "bad.sig"
+    bad.write_text("# nats\n  sort Nat Nat\n", encoding="utf-8")
+    argv = ["lint", str(bad), str(fixtures_dir / "programs" / "stop_increment.strat")]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"{bad}:2:3: bad sort declaration 'sort Nat Nat'\n"
+
+
 @pytest.mark.parametrize("golden", ["lint_bait.out", "fallibility_strict_lint_bait.out"])
 def test_binder_names_do_not_depend_on_earlier_loads(fixtures_dir, golden):
     # one process, two runs: each prints what a fresh process prints
@@ -372,11 +384,10 @@ def test_deep_chain_queries_from_the_cli(fixtures_dir, tmp_path, scheme, qrule, 
 def test_nesting_beyond_the_recursion_limit_is_a_usage_error(
     fixtures_dir, tmp_path, command
 ):
-    prog = tmp_path / "long.strat"
-    prog.write_text(
-        "@infallible\nrule increment : Nat = n -> (Succ n)\n"
-        "main = " + " ; ".join(["try(increment)"] * 1000) + "\n"
-    )
+    # strategies are walked on an explicit stack; the parser still
+    # recurses on nested forms
+    prog = tmp_path / "deep.strat"
+    prog.write_text("main = " + "all(" * 1000 + "id" + ")" * 1000 + "\n")
     term = tmp_path / "zero.term"
     term.write_text("(Zero)\n")
     argv = [*command, str(fixtures_dir / "nat_tree.sig"), str(prog)]
@@ -387,6 +398,44 @@ def test_nesting_beyond_the_recursion_limit_is_a_usage_error(
         "input nested too deeply: it exceeds the Python recursion limit of "
         "1000 frames\n"
     )
+
+
+LONG_MAIN_STEPS = 10_000
+
+
+@pytest.mark.parametrize(
+    "command, stdout",
+    [
+        (["run"], "(Succ " * LONG_MAIN_STEPS + "(Zero)" + ")" * LONG_MAIN_STEPS + "\n"),
+        (["lint"], "clean\n"),
+        (["lint", "--root", "Nat", "--measure", "count:Succ,depth"], "clean\n"),
+        (["analyze", "fallibility"], "main: sf=ForallSuccess type=True\n"),
+        (["analyze", "fallibility", "--strict"], "main: sf=ForallSuccess type=True\n"),
+        (["analyze", "termination"], "main: [Any]\n"),
+        (
+            ["analyze", "reach", "--root", "Nat"],
+            "Bool: {}\nBoolTree: {}\nNat: {increment}\nNatTree: {}\n"
+            "[BoolTree]: {}\n[NatTree]: {}\n"
+            "note: reachable sets may over-report; cases listed as "
+            "unreachable are definitely dead\n",
+        ),
+    ],
+)
+def test_a_long_main_runs_and_is_analysed_at_the_default_recursion_limit(
+    fixtures_dir, tmp_path, command, stdout
+):
+    prog = tmp_path / "long.strat"
+    prog.write_text(
+        "@infallible\nrule increment : Nat = n -> (Succ n)\nmain = "
+        + " ; ".join(["try(adhoc(fail, increment))"] * LONG_MAIN_STEPS)
+        + "\n"
+    )
+    term = tmp_path / "zero.term"
+    term.write_text("(Zero)\n")
+    argv = [*command, str(fixtures_dir / "nat_tree.sig"), str(prog)]
+    proc = _cli(argv + [str(term)] if command == ["run"] else argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == stdout
 
 
 def test_query_monoid_kind_mismatch(fixtures_dir):

@@ -154,6 +154,11 @@ def test_lints_do_not_block_loading(sig):
     assert len(prog.lints) == 2
     assert any("used 2 times" in lint for lint in prog.lints)
     assert any("identity" in lint for lint in prog.lints)
+    # a rec binder hides its name from the count, and nothing else
+    shadowed = parse("def d(s, t) = rec s. t ; t\nmain = id", sig)
+    assert shadowed.lints == [
+        "def 'd': parameter 't' is used 2 times; expansion duplicates its argument"
+    ]
 
 
 def test_lint_fixture_loads_with_both_lints(fixtures_dir):

@@ -40,7 +40,7 @@ def test_parse_signature_full_example():
 
 
 def test_signature_error_positions_and_wording():
-    with pytest.raises(ParseError, match="2: .*unknown sort 'Exp'"):
+    with pytest.raises(ParseError, match="^2:1: list declaration for unknown sort 'Exp'$"):
         parse_signature("sort A\nlist Exp")
     with pytest.raises(ParseError, match="missing '->'"):
         parse_signature("sort A\nC : A")

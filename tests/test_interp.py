@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genlib import nat, strategy_exprs, terms
+from genlib import apply_rule, nat, strategy_exprs, terms
 from stratkit.errors import EngineError
 from stratkit.interp import (
     DEFAULT_FUEL,
@@ -31,7 +31,6 @@ from stratkit.strategies import (
     RuleRef,
     Seq,
     Var,
-    apply_rule,
     full_bu,
     full_td,
     innermost,

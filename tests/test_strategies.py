@@ -19,7 +19,6 @@ from stratkit.strategies import (
     RuleRef,
     Seq,
     Var,
-    apply_rule,
     binder_numbering,
     family,
     free_vars,
@@ -45,7 +44,7 @@ from stratkit.strategies import (
 )
 from stratkit.terms import Lit, Node, PNode, PVar
 
-from genlib import canon, nat, strategy_exprs
+from genlib import apply_rule, canon, nat, strategy_exprs
 
 
 @pytest.fixture(scope="module")
