@@ -18,11 +18,10 @@ own conservative merge: infallible only when both branches are.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Generator, Optional, TypeVar
+from typing import Optional
 
 from .errors import EngineError
 from .strategies import (
-    CHILD_FIELDS,
     Adhoc,
     All,
     Choice,
@@ -36,6 +35,7 @@ from .strategies import (
     Seq,
     Strategy,
     Var,
+    fix_eq,
     lookup,
     print_strategy,
     walk,
@@ -101,21 +101,6 @@ def sf_choice(x: Sf, y: Sf) -> Sf:
     return ANY
 
 
-_X = TypeVar("_X")
-
-
-def fix_eq(f: Callable[[_X], tuple], bottom: _X) -> Generator:
-    """Step fragment for `yield from`: the least fixpoint of the walk's
-    result for the call f(x), by iteration from bottom; callers
-    guarantee that map is monotone over a finite-height lattice."""
-    x = bottom
-    while True:
-        nxt = yield f(x)
-        if nxt == x:
-            return x
-        x = nxt
-
-
 def rule_infallible(rule: Rule) -> bool:
     """On-its-own-sort infallibility. Only an annotated plain RuleDef
     with a variable left side and no guard qualifies; composites are
@@ -178,52 +163,10 @@ def sf_type_of(
     In strict mode a choice with a True-typed left operand is untypable:
     its right operand is dead code.
     """
-    return walk(_sf_type_of, s, ctx or {}, strict)
-
-
-def _sf_type_of(s: Strategy, ctx: dict[str, bool], strict: bool):
-    if isinstance(s, Id):
-        return True
-    if isinstance(s, Fail):
-        return False
-    if isinstance(s, Seq):
-        a = yield s.left, ctx, strict
-        b = yield s.right, ctx, strict
-        if a is None or b is None:
-            return None
-        return a and b
-    if isinstance(s, Choice):
-        a = yield s.left, ctx, strict
-        if a is None:
-            return None
-        if strict and a is True:
-            return None
-        b = yield s.right, ctx, strict
-        if b is None:
-            return None
-        return a or b
-    if isinstance(s, Var):
-        return lookup(ctx, s.name)
-    if isinstance(s, Rec):
-        for assumption in (True, False):
-            got = yield s.body, {**ctx, s.name: assumption}, strict
-            if got == assumption:
-                return assumption
-        return None
-    if isinstance(s, All):
-        return (yield s.body, ctx, strict)
-    if isinstance(s, One):
-        if (yield s.body, ctx, strict) is None:
-            return None
-        return False
-    if isinstance(s, RuleRef):
-        return rule_infallible(s.rule)
-    if isinstance(s, Adhoc):
-        a = yield s.default, ctx, strict
-        if a is None:
-            return None
-        return a and rule_infallible(s.rule)
-    raise EngineError(f"cannot type {s!r}")
+    typed = walk(_sf_type_of, s, ctx or {}, strict, None, [])
+    if isinstance(typed, EngineError):
+        raise typed
+    return typed
 
 
 def scan_dead_choices(
@@ -234,28 +177,85 @@ def scan_dead_choices(
     names from the root. Works on untypable expressions too: the scan
     only needs the left operand's own type.
     """
+    slots: list = []
+    walk(_sf_type_of, s, ctx or {}, False, None, slots)
     found: list[tuple[str, str]] = []
-    walk(_scan_dead_choices, s, ctx or {}, None, found)
-    return found
-
-
-def _scan_dead_choices(
-    node: Strategy, ctx: dict[str, bool], path: Optional[tuple], found: list
-):
-    # path links (field, parent's path) back to the root, None; it is
-    # spelt out only for a finding, so the scan stays linear
-    if isinstance(node, Choice):
-        if sf_type_of(node.left, ctx) is True:
+    for slot in slots:
+        if isinstance(slot, EngineError):
+            raise slot
+        if slot is not None:
+            path, left = slot
             fields = []
             while path is not None:
                 field, path = path
                 fields.append(field)
-            text = "/".join(reversed(fields)) or "root"
-            found.append((text, print_strategy(node.left)))
-    elif isinstance(node, Rec):
-        # scan under the optimistic assumption first; if the body
-        # does not support it, fall back to fallible
-        assumed = sf_type_of(node, ctx)
-        ctx = {**ctx, node.name: bool(assumed)}
-    for field in CHILD_FIELDS.get(type(node), ()):
-        yield getattr(node, field), ctx, (field, path), found
+            found.append(("/".join(reversed(fields)) or "root", print_strategy(left)))
+    return found
+
+
+def _sf_type_of(
+    s: Strategy, ctx: dict[str, bool], strict: bool, path: Optional[tuple], slots: list
+):
+    """The type of s, or the EngineError typing it raises, as a value:
+    every child is typed, so one walk also scans for dead choices.
+
+    Each choice and rec takes a slot where a pre-order scan would type
+    it: (path, left operand) for a non-strict finding, the error typing
+    raised, or None. path links (field, parent's path) back to the root,
+    None. A rec keeps the slots of its body under the assumption it
+    settles on, fallible if none holds.
+    """
+    if isinstance(s, Choice):
+        at = len(slots)
+        slots.append(None)
+        a = yield s.left, ctx, strict, ("left", path), slots
+        if a is True:
+            slots[at] = (path, s.left)
+        elif isinstance(a, EngineError):
+            slots[at] = a
+        b = yield s.right, ctx, strict, ("right", path), slots
+        if a is None or isinstance(a, EngineError):
+            return a
+        if strict and a is True:
+            return None
+        if b is None or isinstance(b, EngineError):
+            return b
+        return a or b
+    if isinstance(s, Seq):
+        a = yield s.left, ctx, strict, ("left", path), slots
+        b = yield s.right, ctx, strict, ("right", path), slots
+        for x in (a, b):
+            if isinstance(x, EngineError):
+                return x
+        return None if a is None or b is None else a and b
+    if isinstance(s, Rec):
+        at = len(slots)
+        slots.append(None)
+        down = ("body", path)
+        got = yield s.body, {**ctx, s.name: True}, strict, down, slots
+        if not (got is True or isinstance(got, EngineError)):
+            del slots[at + 1 :]
+            got = yield s.body, {**ctx, s.name: False}, strict, down, slots
+            if got is True:
+                got = None
+        if isinstance(got, EngineError):
+            slots[at] = got
+        return got
+    if isinstance(s, (All, One, Adhoc)):
+        field = "default" if isinstance(s, Adhoc) else "body"
+        a = yield getattr(s, field), ctx, strict, (field, path), slots
+        if a is None or isinstance(a, EngineError) or isinstance(s, All):
+            return a
+        return False if isinstance(s, One) else a and rule_infallible(s.rule)
+    if isinstance(s, Id):
+        return True
+    if isinstance(s, Fail):
+        return False
+    if isinstance(s, RuleRef):
+        return rule_infallible(s.rule)
+    if isinstance(s, Var):
+        try:
+            return lookup(ctx, s.name)
+        except EngineError as exc:
+            return exc
+    return EngineError(f"cannot type {s!r}")

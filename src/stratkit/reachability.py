@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import EngineError, SignatureError
-from .fallibility import fix_eq
 from .strategies import (
     Adhoc,
     All,
@@ -28,6 +27,7 @@ from .strategies import (
     Strategy,
     Var,
     children,
+    fix_eq,
     lookup,
     rule_names,
     walk,

@@ -15,7 +15,7 @@ import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Generator, Iterator, Optional, Union
+from typing import Callable, Generator, Iterator, Optional, TypeVar, Union
 
 from .errors import EngineError, StratkitError
 from .terms import Lit, Node, Pattern, Term
@@ -271,6 +271,23 @@ def lookup(env: dict, name: str):
         raise EngineError(f"unbound strategy variable {name!r}") from None
 
 
+_X = TypeVar("_X")
+
+
+def fix_eq(f: Callable[[_X], tuple], bottom: _X) -> Generator:
+    """Step fragment for `yield from`: the least fixpoint of the walk's
+    result for the call f(x), by iteration from bottom (Kleene); callers
+    guarantee that map is monotone over a finite-height lattice. A None
+    result is the top of the lattice: it ends the iteration and is
+    returned."""
+    x = bottom
+    while True:
+        nxt = yield f(x)
+        if nxt is None or nxt == x:
+            return nxt
+        x = nxt
+
+
 def free_occurrences(s: Strategy) -> dict[str, int]:
     """How often each variable occurs in s outside every rec that binds
     it; variables with no free occurrence are absent."""
@@ -458,31 +475,40 @@ def family(cases: list[Rule] | tuple[Rule, ...], default: Strategy) -> Strategy:
 def print_strategy(s: Strategy) -> str:
     """Concrete syntax with minimal parentheses; `;` binds tighter than
     `<+` and rec extends as far right as possible."""
-    return walk(_print, s, 0)
+    out: list[str] = []
+    walk(_print, s, 0, out)
+    return "".join(out)
 
 
-def _print(s: Strategy, min_prec: int):
-    if isinstance(s, Id):
-        return "id"
-    if isinstance(s, Fail):
-        return "fail"
-    if isinstance(s, Var):
-        return s.name
-    if isinstance(s, RuleRef):
-        return s.rule.name
-    if isinstance(s, All):
-        return f"all({(yield s.body, 0)})"
-    if isinstance(s, One):
-        return f"one({(yield s.body, 0)})"
-    if isinstance(s, Adhoc):
-        return f"adhoc({(yield s.default, 0)},{s.rule.name})"
-    if isinstance(s, Rec):
-        text = f"rec {s.name}. {(yield s.body, 0)}"
-        return f"({text})" if min_prec > 0 else text
+#: the highest context precedence each form is printed in bare
+_BARE_UP_TO = {Rec: 0, Choice: 0, Seq: 1}
+
+
+def _print(s: Strategy, min_prec: int, out: list[str]):
+    # a node's pieces are text or (child, precedence); the text is joined
+    # once, so printing is linear in its length
     if isinstance(s, Seq):
-        text = f"{(yield s.left, 1)} ; {(yield s.right, 2)}"
-        return f"({text})" if min_prec > 1 else text
-    if isinstance(s, Choice):
-        text = f"{(yield s.left, 0)} <+ {(yield s.right, 1)}"
-        return f"({text})" if min_prec > 0 else text
-    raise StratkitError(f"cannot print {s!r}")
+        pieces = [(s.left, 1), " ; ", (s.right, 2)]
+    elif isinstance(s, Choice):
+        pieces = [(s.left, 0), " <+ ", (s.right, 1)]
+    elif isinstance(s, Rec):
+        pieces = [f"rec {s.name}. ", (s.body, 0)]
+    elif isinstance(s, (All, One)):
+        pieces = ["all(" if isinstance(s, All) else "one(", (s.body, 0), ")"]
+    elif isinstance(s, Adhoc):
+        pieces = ["adhoc(", (s.default, 0), f",{s.rule.name})"]
+    elif isinstance(s, Var):
+        pieces = [s.name]
+    elif isinstance(s, RuleRef):
+        pieces = [s.rule.name]
+    elif isinstance(s, (Id, Fail)):
+        pieces = ["id" if isinstance(s, Id) else "fail"]
+    else:
+        raise StratkitError(f"cannot print {s!r}")
+    if min_prec > _BARE_UP_TO.get(type(s), 2):
+        pieces = ["(", *pieces, ")"]
+    for piece in pieces:
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            yield piece[0], piece[1], out

@@ -7,7 +7,9 @@ current term relates to the measure at the closure's entry: not
 increased (Leq), strictly decreased (Less), or unknown (Any). A
 recursive reference is admissible only where the tracked vector is
 lexicographically below the entry measure, which is exactly the
-induction principle that justifies the recursion.
+induction principle that justifies the recursion. The effect of a rec
+is the least fixpoint of its body's effect, iterated up from Less in
+every component.
 
 `no-type` (None here) means termination was not proven, never that the
 strategy diverges.
@@ -16,7 +18,6 @@ strategy diverges.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -36,6 +37,7 @@ from .strategies import (
     Seq,
     Strategy,
     Var,
+    fix_eq,
     lookup,
     walk,
 )
@@ -202,80 +204,45 @@ def show_vec(r: Optional[RelVec]) -> str:
 # soundness.
 
 
-def _pat_static_depth(p: Pattern) -> int:
-    """Depth with variables and literals as depth-1 leaves."""
-    if isinstance(p, PNode) and p.children:
-        return 1 + max(_pat_static_depth(c) for c in p.children)
-    return 1
-
-
-def _pat_var_paths(p: Pattern) -> dict[str, int]:
-    """Variable -> maximum constructor-edge distance from the root."""
-    out: dict[str, int] = {}
+def _pat_shape(p: Pattern) -> tuple[int, dict[str, int], dict[str, int], dict[str, int]]:
+    """One walk over a pattern: its depth with variables and literals as
+    depth-1 leaves; per variable, the most constructor edges from the
+    root to an occurrence, and its number of occurrences; per
+    constructor, its number of occurrences."""
+    depth, paths, mults, counts = 0, {}, {}, {}
     stack: list[tuple[Pattern, int]] = [(p, 0)]
     while stack:
         q, d = stack.pop()
+        depth = max(depth, d + 1)
         if isinstance(q, PVar):
-            if d > out.get(q.name, -1):
-                out[q.name] = d
+            paths[q.name] = max(d, paths.get(q.name, -1))
+            mults[q.name] = mults.get(q.name, 0) + 1
         elif isinstance(q, PNode):
-            for c in q.children:
-                stack.append((c, d + 1))
-    return out
-
-
-def _pat_count(p: Pattern, constr: str) -> int:
-    n = 0
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, PNode):
-            if q.constr == constr:
-                n += 1
-            stack.extend(q.children)
-    return n
-
-
-def _pat_mults(p: Pattern) -> dict[str, int]:
-    out: dict[str, int] = {}
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, PVar):
-            out[q.name] = out.get(q.name, 0) + 1
-        elif isinstance(q, PNode):
-            stack.extend(q.children)
-    return out
-
-
-def _depth_effect(lhs: Pattern, rhs: Pattern) -> Rel:
-    ls, rs = _pat_static_depth(lhs), _pat_static_depth(rhs)
-    lpaths, rpaths = _pat_var_paths(lhs), _pat_var_paths(rhs)
-    # depth(rhs θ) is the max of its static depth and, per variable,
-    # deepest occurrence distance plus depth(θ x); bound each part by
-    # the matching lower bound on depth(lhs θ)
-    leq_ok = rs <= ls and all(d <= lpaths.get(x, -1) for x, d in rpaths.items())
-    if not leq_ok:
-        return ANY
-    less_ok = rs < ls and all(d < lpaths.get(x, -1) for x, d in rpaths.items())
-    return LESS if less_ok else LEQ
-
-
-def _count_effect(lhs: Pattern, rhs: Pattern, constr: str) -> Rel:
-    lc, rc = _pat_count(lhs, constr), _pat_count(rhs, constr)
-    lm, rm = _pat_mults(lhs), _pat_mults(rhs)
-    if rc > lc or any(n > lm.get(x, 0) for x, n in rm.items()):
-        return ANY
-    return LESS if rc < lc else LEQ
+            counts[q.constr] = counts.get(q.constr, 0) + 1
+            stack.extend((c, d + 1) for c in q.children)
+    return depth, paths, mults, counts
 
 
 def rule_effect_check(rule: RuleDef, m: Measure) -> RelVec:
+    (ls, lpaths, lm, lc), (rs, rpaths, rm, rc) = _pat_shape(rule.lhs), _pat_shape(rule.rhs)
     out: list[Rel] = []
     for comp in m.components:
         if comp == DEPTH:
-            out.append(_depth_effect(rule.lhs, rule.rhs))
+            # depth(rhs θ) is the max of its static depth and, per
+            # variable, deepest occurrence distance plus depth(θ x); bound
+            # each part by the matching lower bound on depth(lhs θ)
+            if rs > ls or any(d > lpaths.get(x, -1) for x, d in rpaths.items()):
+                out.append(ANY)
+            elif rs < ls and all(d < lpaths.get(x, -1) for x, d in rpaths.items()):
+                out.append(LESS)
+            else:
+                out.append(LEQ)
         else:
-            out.append(_count_effect(rule.lhs, rule.rhs, comp.constr))
+            before, after = lc.get(comp.constr, 0), rc.get(comp.constr, 0)
+            if after > before or any(n > lm.get(x, 0) for x, n in rm.items()):
+                out.append(ANY)
+            else:
+                out.append(LESS if after < before else LEQ)
     return tuple(out)
 
 
@@ -368,13 +335,13 @@ def _term_analyse(s: Strategy, m: Measure, r: RelVec, env: TermEnv):
             return None
         return vec_plus(r, eff)
     if isinstance(s, Rec):
-        for e in itertools.product((LESS, LEQ, ANY), repeat=n):
-            inner = dict(env)
-            inner[s.name] = (e, True)
-            got = yield s.body, m, leqs(m), inner
-            if got is not None and vec_leq(got, e):
-                return vec_plus(r, e)
-        return None
+        # every case is monotone in the binder's vector (None on top), so
+        # the least fixpoint is below every vector the body stays within,
+        # and None means there is no such vector
+        e = yield from fix_eq(
+            lambda e: (s.body, m, leqs(m), {**env, s.name: (e, True)}), (LESS,) * n
+        )
+        return None if e is None else vec_plus(r, e)
     if isinstance(s, (All, One)):
         down = r[:-1] + (rel_decrease(r[-1]),)
         got = yield s.body, m, down, env

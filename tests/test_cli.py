@@ -438,6 +438,22 @@ def test_a_long_main_runs_and_is_analysed_at_the_default_recursion_limit(
     assert proc.stdout == stdout
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_nested_innermost_levels_are_analysed_from_the_cli(fixtures_dir, tmp_path, levels):
+    # a search over every candidate vector at each rec took about 15 s
+    # at 2 levels under this measure, and over 10 minutes at 3
+    body = "innermost(adhoc(fail, increment))"
+    for _ in range(levels - 1):
+        body = f"innermost(try({body}))"
+    prog = tmp_path / "ladder.strat"
+    prog.write_text(f"@infallible\nrule increment : Nat = n -> (Succ n)\nmain = {body}\n")
+    proc = _cli(
+        ["analyze", "termination", "--measure", "count:Succ,count:Node,depth",
+         str(fixtures_dir / "nat_tree.sig"), str(prog)]
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "main: NOT PROVEN\n", "")
+
+
 def test_query_monoid_kind_mismatch(fixtures_dir):
     result = invoke(
         fixtures_dir,

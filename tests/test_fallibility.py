@@ -2,6 +2,7 @@
 and agreement between the abstract values and actual engine behaviour."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, given
@@ -11,7 +12,6 @@ from genlib import strategy_exprs, terms
 from stratkit.errors import EngineError
 from stratkit.fallibility import (
     Sf,
-    fix_eq,
     rule_infallible,
     scan_dead_choices,
     sf_analyse,
@@ -26,6 +26,7 @@ from stratkit.laws import _adhocify
 from stratkit.strategies import (
     FAIL,
     ID,
+    Adhoc,
     All,
     Choice,
     One,
@@ -34,6 +35,7 @@ from stratkit.strategies import (
     RuleRef,
     Seq,
     Var,
+    fix_eq,
     full_bu,
     full_td,
     innermost,
@@ -159,9 +161,9 @@ def _monotone_functions():
             yield f
 
 
-def _least_fixpoint(f):
+def _least_fixpoint(f, call=lambda x: x):
     """fix_eq on a plain map: each call it yields, x, is answered by f[x]."""
-    calls = fix_eq(lambda x: x, NONE)
+    calls = fix_eq(call, NONE)
     x = next(calls)
     while True:
         try:
@@ -180,6 +182,19 @@ def test_fix_eq_finds_the_least_fixpoint_of_every_monotone_map():
                 assert sf_leq(got, other)
         checked += 1
     assert checked > 20  # the enumeration is not vacuous
+
+
+def test_fix_eq_stops_at_a_none_result():
+    # None is the top: the iteration ends there, without asking f(None)
+    f = {NONE: FS, FS: None}
+    asked = []
+
+    def call(x):
+        asked.append(x)
+        return x
+
+    assert _least_fixpoint(f, call) is None
+    assert asked == [NONE, FS]
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +253,29 @@ def test_scan_reports_paths_from_the_root(rules):
     assert scan_dead_choices(s) == [("left/body", "id")]
     inc = RuleRef(rules["increment"])
     assert scan_dead_choices(Choice(inc, FAIL)) == [("root", "increment")]
+    # a finding inside a finding's right operand keeps its full path
+    s = All(Choice(ID, Choice(ID, ID)))
+    assert scan_dead_choices(s) == [("body", "id"), ("body/right", "id")]
 
 
 def test_scan_handles_rec_with_the_inferred_assumption():
     s = Rec("v", Choice(All(Var("v")), FAIL))
     assert scan_dead_choices(s) == [("body", "all(v)")]
+
+
+def test_a_long_choice_chain_is_scanned_in_linear_time(rules):
+    # `alt <+ … <+ alt <+ id <+ alt` with 5 000 alternatives: every
+    # choice types its left operand, and the one finding prints the chain
+    alt = Adhoc(FAIL, rules["increment"])
+    s = alt
+    for _ in range(4_997):
+        s = Choice(s, alt)
+    s = Choice(Choice(s, ID), alt)
+    start = time.perf_counter()
+    found = scan_dead_choices(s)
+    # typing each left operand afresh took over a minute here
+    assert time.perf_counter() - start < 10
+    assert found == [("root", " <+ ".join(["adhoc(fail,increment)"] * 4_998 + ["id"]))]
 
 
 def test_scan_is_empty_for_honest_choices(rules):

@@ -22,11 +22,13 @@ from stratkit.interp import (
     Success,
     evaluate,
 )
+from stratkit.laws import builtin_rules
 from stratkit.strategies import (
     FAIL,
     ID,
     Adhoc,
     All,
+    Choice,
     One,
     RuleRef,
     Seq,
@@ -198,10 +200,35 @@ def test_machine_agrees_with_reference(sig, s, t):
     assert_same(got, ref_eval(s, t, sig))
 
 
+def shrinking_exprs(max_leaves=4):
+    """Rec-free strategies that make the term smaller wherever they
+    succeed (fewer nodes, or as many with fewer True): failure is their
+    only leaf besides the two shrinking rules, and all() is left out."""
+    pool = [r for r in builtin_rules() if r.name in ("dropSucc", "flipTrue")]
+    leaves = st.sampled_from([FAIL] + [RuleRef(r) for r in pool])
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, sub).map(lambda p: Seq(*p)),
+            st.tuples(sub, sub).map(lambda p: Choice(*p)),
+            sub.map(One),
+            st.tuples(sub, st.sampled_from(pool)).map(lambda p: Adhoc(*p)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+#: innermost stops only at a normal form, so its argument must shrink
+#: the term, or most draws would run out of fuel
+SCHEME_ARGS = {name: strategy_exprs(max_leaves=4) for name in SCHEMES}
+SCHEME_ARGS["innermost"] = shrinking_exprs()
+
+
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 @settings(max_examples=60)
-@given(strategy_exprs(max_leaves=4), terms)
-def test_scheme_agrees_with_reference(name, sig, s, t):
+@given(st.data(), terms)
+def test_scheme_agrees_with_reference(name, sig, data, t):
+    s = data.draw(SCHEME_ARGS[name], label="s")
     scheme, ref = SCHEMES[name]
     got = evaluate(scheme(s), t, sig, fuel=20_000)
     assume(not isinstance(got, FuelExhausted))

@@ -4,9 +4,11 @@ effect vectors hold on actual runs."""
 
 import itertools
 import random
+import time
 
 import pytest
 
+import walker_oracle as oracle
 from stratkit.errors import EngineError, ParseError
 from stratkit.interp import Success, evaluate
 from stratkit.laws import GenConfig, builtin_rules, builtin_signature, gen_strategy, gen_term
@@ -15,6 +17,7 @@ from stratkit.strategies import (
     ID,
     Adhoc,
     All,
+    Choice,
     One,
     RuleDef,
     RuleRef,
@@ -24,6 +27,7 @@ from stratkit.strategies import (
     full_td,
     innermost,
     once_bu,
+    once_td,
     repeat,
     stop_td,
     try_,
@@ -276,6 +280,45 @@ def test_one_keeps_count_strictness_but_all_does_not(rules):
     drop = RuleRef(rules["dropSucc"])
     assert term_type_of(All(drop), SUCC_DEPTH) == (LEQ, LEQ)
     assert term_type_of(One(drop), SUCC_DEPTH) == (LESS, LEQ)
+
+
+NESTABLE = (full_td, full_bu, once_td, once_bu, stop_td, innermost, repeat, try_)
+
+
+def test_every_pair_of_nested_schemes_matches_the_candidate_search(rules):
+    # the oracle tries every vector at a rec; the fixpoint must land on
+    # the first one that holds, or find that none does
+    drop = rules["dropSucc"]
+    leaves = (
+        Adhoc(ID, drop),
+        Adhoc(FAIL, drop),
+        Adhoc(FAIL, rules["increment"]),
+        RuleRef(drop),
+        Choice(Adhoc(FAIL, rules["flipTrue"]), Adhoc(ID, drop)),
+    )
+    seen = set()
+    for outer, inner, leaf, m in itertools.product(
+        NESTABLE, NESTABLE, leaves, (DEPTH_MEASURE, SUCC_DEPTH)
+    ):
+        s = outer(inner(leaf))
+        got = term_type_of(s, m)
+        assert got == oracle.term_type_of(s, m), (outer, inner, leaf, m)
+        seen.add(got)
+    assert None in seen and len(seen) >= 6  # the table is not vacuous
+
+
+def test_a_twelve_level_ladder_is_analysed_quickly(rules):
+    m = parse_measure("count:Succ,count:Node,depth")
+    s = Adhoc(FAIL, rules["dropSucc"])
+    for level in range(1, 13):
+        s = full_td(s)
+        if level == 2:
+            assert term_type_of(s, m) == oracle.term_type_of(s, m)
+    start = time.perf_counter()
+    assert term_type_of(s, m) == (LESS, LEQ, LEQ)
+    # a level costs the candidate search about 4x (some 20 minutes at
+    # 12 levels) and the fixpoint about 2x (well under 1 s)
+    assert time.perf_counter() - start < 20
 
 
 def test_env_errors():
