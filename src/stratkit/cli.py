@@ -46,9 +46,9 @@ def _die(message: str, code: int) -> None:
 
 
 class _Main(click.Group):
-    """The command group. Only the parser on nested forms and the query
-    compiler recurse on the Python stack; input too deep for them is a usage
-    error (exit 2) on one stderr line, not a traceback under the findings code."""
+    """The command group. Only the parser on nested forms recurses on the
+    Python stack; input too deep for it is a usage error (exit 2) on one
+    stderr line, not a traceback under the findings code."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -147,6 +147,21 @@ def _type_text(t) -> str:
     return "True" if t else "False"
 
 
+def _definitions(prog) -> list:
+    """(label, body, params) of each definition, in order, then main."""
+    items = [(f"def {name}", d.body, d.params) for name, d in prog.defs.items()]
+    items.append(("main", prog.main, ()))
+    return items
+
+
+def _dead_choices(label: str, body, params) -> int:
+    """Echo each dead choice in body; their number."""
+    found = scan_dead_choices(body, {p: False for p in params})
+    for path, left in found:
+        click.echo(f"{label}: dead choice at {path}: left operand {left} cannot fail")
+    return len(found)
+
+
 @analyze.command()
 @click.argument("signature", type=click.Path(exists=True, dir_okay=False))
 @click.argument("program", type=click.Path(exists=True, dir_okay=False))
@@ -156,21 +171,12 @@ def fallibility(signature: str, program: str, strict: bool) -> None:
     """Success/failure behavior of each definition and of main."""
     prog = _usage(load_program, signature, program)
     findings = 0
-    items = [(f"def {name}", d.body, d.params) for name, d in prog.defs.items()]
-    items.append(("main", prog.main, ()))
-    for label, body, params in items:
-        env = {p: Sf.ANY for p in params}
-        ctx = {p: False for p in params}
-        value = sf_analyse(body, env)
-        verdict = sf_type_of(body, ctx, strict=strict)
+    for label, body, params in _definitions(prog):
+        value = sf_analyse(body, {p: Sf.ANY for p in params})
+        verdict = sf_type_of(body, {p: False for p in params}, strict=strict)
         click.echo(f"{label}: sf={value} type={_type_text(verdict)}")
         if strict:
-            for path, left in scan_dead_choices(body, ctx):
-                findings += 1
-                click.echo(
-                    f"{label}: dead choice at {path}: "
-                    f"left operand {left} cannot fail"
-                )
+            findings += _dead_choices(label, body, params)
     sys.exit(1 if findings else 0)
 
 
@@ -203,11 +209,8 @@ def termination(signature: str, program: str, measure_spec: str) -> None:
     m = _usage(parse_measure, measure_spec)
     findings = 0
     unknown = ((ANY,) * len(m), False)
-    items = [(f"def {name}", d.body, d.params) for name, d in prog.defs.items()]
-    items.append(("main", prog.main, ()))
-    for label, body, params in items:
-        env = {p: unknown for p in params}
-        vec = term_type_of(body, m, env)
+    for label, body, params in _definitions(prog):
+        vec = term_type_of(body, m, {p: unknown for p in params})
         if vec is None:
             findings += 1
         click.echo(f"{label}: {show_vec(vec)}")
@@ -258,16 +261,9 @@ def lint(signature: str, program: str, root: str | None, measure_spec: str) -> N
     for line in prog.lints:
         findings += 1
         click.echo(f"lint: {line}")
-    items = [(f"def {name}", d.body, d.params) for name, d in prog.defs.items()]
-    items.append(("main", prog.main, ()))
+    items = _definitions(prog)
     for label, body, params in items:
-        ctx = {p: False for p in params}
-        for path, left in scan_dead_choices(body, ctx):
-            findings += 1
-            click.echo(
-                f"{label}: dead choice at {path}: "
-                f"left operand {left} cannot fail"
-            )
+        findings += _dead_choices(label, body, params)
     if root is not None:
         dead = _usage(dead_case_report, prog.signature, prog.main, root)
         for _case, diagnostic in dead:
@@ -276,8 +272,7 @@ def lint(signature: str, program: str, root: str | None, measure_spec: str) -> N
     m = _usage(parse_measure, measure_spec)
     unknown = ((ANY,) * len(m), False)
     for label, body, params in items:
-        env = {p: unknown for p in params}
-        if term_type_of(body, m, env) is None:
+        if term_type_of(body, m, {p: unknown for p in params}) is None:
             findings += 1
             click.echo(f"{label}: termination NOT PROVEN under {measure_spec}")
     for diagnostic in verify_annotations(prog.rules.values(), m):

@@ -10,6 +10,7 @@ term files routinely hold trees deeper than the interpreter stack.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import NoReturn, Optional
 
 from .errors import ParseError, SignatureError
@@ -133,13 +134,15 @@ def _unescape(m: re.Match) -> str:
     return "\n" if c == "n" else "\t" if c == "t" else c
 
 
-def parse_term(text: str) -> Term:
-    """Read exactly one term; trailing input is an error.
+def parse_term(text: str, origin: Optional[str] = None) -> Term:
+    """Read exactly one term; trailing input is an error, which reads
+    `[origin:]line:col: …`.
 
     One pass over the tokens builds the term with an explicit stack of
     open applications. Positions are worked out only for an error.
     """
     tokens = _TOKEN.findall(text)
+    fail = partial(_fail, text, tokens, origin)
     top: list[Term] = []
     kids = top  # children of the innermost open application
     stack: list[tuple[str, list[Term], int]] = []  # (constr, kids, '(' index)
@@ -152,17 +155,17 @@ def parse_term(text: str) -> Term:
             continue
         if string is not None:
             if c != ":":
-                _fail(text, tokens, "string literal needs a :Sort tag", string_at)
+                fail("string literal needs a :Sort tag", string_at)
             if len(tok) == 1:
-                _fail(text, tokens, "missing sort tag after string", string_at)
+                fail("missing sort tag after string", string_at)
             value: Term = Lit(string, tok[1:])
             string = None
             at = string_at
         elif opened >= 0:
             if c in '()"':
-                _fail(text, tokens, "expected constructor after '('", opened)
+                fail("expected constructor after '('", opened)
             if ":" in tok:
-                _fail(text, tokens, f"literal {tok!r} cannot head an application", k)
+                fail(f"literal {tok!r} cannot head an application", k)
             kids = []
             stack.append((tok, kids, opened))
             opened = -1
@@ -172,14 +175,14 @@ def parse_term(text: str) -> Term:
             continue
         elif c == ")":
             if not stack:
-                _fail(text, tokens, "unmatched ')'", k)
+                fail("unmatched ')'", k)
             constr, children, at = stack.pop()
             value = Node(constr, tuple(children))
             kids = stack[-1][1] if stack else top
         elif c == '"':
             m = _STRING.fullmatch(tok)
             if m is None:
-                _fail(text, tokens, "unterminated string literal", k)
+                fail("unterminated string literal", k)
             string = m.group(1)
             if "\\" in string:
                 string = _ESCAPE.sub(_unescape, string)
@@ -188,7 +191,7 @@ def parse_term(text: str) -> Term:
         elif ":" in tok:
             payload, sort = tok.rsplit(":", 1)
             if not sort:
-                _fail(text, tokens, f"missing sort tag in literal {tok!r}", k)
+                fail(f"missing sort tag in literal {tok!r}", k)
             try:
                 # int() never accepts '.', so skip its exception for floats
                 num = float(payload) if "." in payload else int(payload)
@@ -196,12 +199,12 @@ def parse_term(text: str) -> Term:
                 try:
                     num = float(payload)
                 except ValueError:
-                    _fail(text, tokens, f"bad literal payload {payload!r}", k)
+                    fail(f"bad literal payload {payload!r}", k)
                 if num != num:
                     # its term would be unequal to its own re-read, and
                     # would never match a literal pattern
-                    _fail(text, tokens, f"bad literal payload {payload!r}: "
-                          "NaN is not equal to itself", k)
+                    fail(f"bad literal payload {payload!r}: "
+                         "NaN is not equal to itself", k)
             value = Lit(num, sort)
             at = k
         else:
@@ -209,20 +212,22 @@ def parse_term(text: str) -> Term:
             at = k
         kids.append(value)
         if kids is top and len(top) > 1:
-            _fail(text, tokens, "trailing input after term", at)
+            fail("trailing input after term", at)
     if string is not None:
-        _fail(text, tokens, "string literal needs a :Sort tag", string_at)
+        fail("string literal needs a :Sort tag", string_at)
     if opened >= 0:
-        _fail(text, tokens, "expected constructor after '('", opened)
+        fail("expected constructor after '('", opened)
     if stack:
         constr, _, at = stack[-1]
-        _fail(text, tokens, f"unclosed '(' for {constr!r}", at)
+        fail(f"unclosed '(' for {constr!r}", at)
     if not top:
         raise ParseError("empty input, expected a term")
     return top[0]
 
 
-def _fail(text: str, tokens: list[str], message: str, k: int) -> NoReturn:
+def _fail(
+    text: str, tokens: list[str], origin: Optional[str], message: str, k: int
+) -> NoReturn:
     """Raise the error for input whose first problem in reading order is
     `message` at token k. A string literal's own errors come first,
     wherever they are: an unterminated string, then a string without its
@@ -245,12 +250,12 @@ def _fail(text: str, tokens: list[str], message: str, k: int) -> NoReturn:
                 break
     at = sum(map(len, tokens[:k]))
     line = text.count("\n", 0, at) + 1
-    raise ParseError(message, line=line, col=at - text.rfind("\n", 0, at))
+    raise ParseError(message, line, at - text.rfind("\n", 0, at), origin)
 
 
 def load_term(path: str) -> Term:
     with open(path, encoding="utf-8") as fh:
-        return parse_term(fh.read())
+        return parse_term(fh.read(), origin=path)
 
 
 def _format_lit(t: Lit) -> str:

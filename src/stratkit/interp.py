@@ -39,7 +39,7 @@ from .strategies import (
     rule_names,
     walk,
 )
-from .terms import Lit, Node, PLit, PNode, PVar, Signature, Term, match
+from .terms import Lit, Node, Signature, Term, compile_rewrite
 
 DEFAULT_FUEL = 1_000_000
 
@@ -83,65 +83,16 @@ class _Cell:
 # ---------------------------------------------------------------------------
 # Rule compilation
 #
-# Rules are compiled to appliers, Term -> Term | None. The shapes that
-# dominate rewriting loops (variable left side, small constructor right
-# side) get dedicated closures so the hot path does no generic matching.
-
-
-def _compile_rhs(p):
-    if isinstance(p, PVar):
-        name = p.name
-        return lambda b: b[name]
-    if isinstance(p, PLit):
-        lit = Lit(p.value, p.sort)
-        return lambda b: lit
-    fns = tuple(_compile_rhs(c) for c in p.children)
-    constr = p.constr
-    if not fns:
-        node = Node(constr)
-        return lambda b: node
-    return lambda b: Node(constr, tuple(f(b) for f in fns))
-
-
-def _ruledef_applier(rule: RuleDef):
-    lhs, rhs = rule.lhs, rule.rhs
-    guard_fn = GUARDS[rule.guard] if rule.guard is not None else None
-    build = _compile_rhs(rhs)
-    if isinstance(lhs, PVar):
-        name = lhs.name
-        if guard_fn is None:
-            if (
-                isinstance(rhs, PNode)
-                and len(rhs.children) == 1
-                and rhs.children[0] == lhs
-            ):
-                constr = rhs.constr
-                return lambda t: Node(constr, (t,))
-            return lambda t: build({name: t})
-
-        def guarded(t):
-            if guard_fn(t):
-                return build({name: t})
-            return None
-
-        return guarded
-
-    def general(t):
-        binding = match(lhs, t)
-        if binding is None:
-            return None
-        if guard_fn is not None and not guard_fn(t):
-            return None
-        return build(binding)
-
-    return general
+# Rules are compiled to appliers, Term -> Term | None, each leaf rule by
+# terms.compile_rewrite.
 
 
 def compile_rule(rule: Rule, sig: Signature, check_sort: bool = True):
     """Applier for a rule; with check_sort the applier rejects terms of
     other sorts itself, otherwise the caller guarantees the sort."""
     if isinstance(rule, RuleDef):
-        base = _ruledef_applier(rule)
+        guard = GUARDS[rule.guard] if rule.guard is not None else None
+        base = compile_rewrite(rule.lhs, rule.rhs, guard)
     elif isinstance(rule, RuleChoice):
         fns = tuple(compile_rule(m, sig, False) for m in rule.members)
 

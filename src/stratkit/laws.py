@@ -18,6 +18,7 @@ string, so per-law generators are stable across processes.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,6 +28,7 @@ from .strategies import (
     ID,
     Adhoc,
     All,
+    BogusSchemeWarning,
     Choice,
     One,
     Rec,
@@ -43,6 +45,7 @@ from .strategies import (
     once_td,
     print_strategy,
     rebuild,
+    stop_bu,
     stop_td,
     try_,
     walk,
@@ -545,100 +548,65 @@ class PropertyResult:
         return out
 
 
+def _quiet_stop_bu(s: Strategy) -> Strategy:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BogusSchemeWarning)
+        return stop_bu(s)
+
+
+def _never_fails(out: Outcome, t: Term) -> bool:
+    return not isinstance(out, Failure)
+
+
+#: name, seed label, scheme, wrapper of the generated argument, and the
+#: predicate every outcome must meet (None: one Failure must witness it)
+_SCHEME_PROPERTIES = (
+    # stop_td and innermost can never fail, whatever the argument
+    ("stop_td-never-fails", "infallible:stop_td", stop_td, None, _never_fails),
+    ("innermost-never-fails", "infallible:innermost", innermost, None, _never_fails),
+    # full_td and full_bu preserve infallibility of the argument
+    ("full_td-infallible-arg", "full:full_td", full_td, try_, _never_fails),
+    ("full_bu-infallible-arg", "full:full_bu", full_bu, try_, _never_fails),
+    # once_td and once_bu are fallible: some input must fail
+    ("once_td-failure-witnessed", "fallible:once_td", once_td, None, None),
+    ("once_bu-failure-witnessed", "fallible:once_bu", once_bu, None, None),
+    # the descend-first bottom-up scheme is a deep identity traversal
+    (
+        "stop_bu-deep-identity",
+        "stop_bu-identity",
+        _quiet_stop_bu,
+        None,
+        lambda out, t: isinstance(out, Success) and term_eq(out.term, t),
+    ),
+)
+
+
 def check_scheme_properties(
     sig: Signature, rules: list[Rule], cfg: GenConfig = GenConfig()
 ) -> list[PropertyResult]:
     results = []
-
-    def sample(name: str):
-        rng = random.Random(f"{cfg.seed}:prop:{name}")
+    for name, label, scheme, wrap, holds in _SCHEME_PROPERTIES:
+        rng = random.Random(f"{cfg.seed}:prop:{label}")
+        discards = 0
+        bad = ""
+        witnessed = False
         for _ in range(cfg.cases):
             s = gen_strategy(rules, rng, rng.randrange(1, cfg.max_strategy_size + 1))
-            t = gen_term(sig, rng, cfg.max_term_depth)
-            yield s, t
-
-    # stop_td and innermost can never fail, whatever the argument
-    for scheme_name, scheme in (("stop_td", stop_td), ("innermost", innermost)):
-        discards = 0
-        bad: Optional[str] = None
-        for s, t in sample(f"infallible:{scheme_name}"):
-            out = _eval(scheme(s), t, sig, cfg.fuel)
-            if isinstance(out, FuelExhausted):
-                discards += 1
-            elif isinstance(out, Failure):
-                bad = _render_case((s,), t)
-                break
-        results.append(
-            PropertyResult(
-                f"{scheme_name}-never-fails", bad is None, cfg.cases, discards, bad or ""
-            )
-        )
-
-    # full_td and full_bu preserve infallibility of the argument
-    for scheme_name, scheme in (("full_td", full_td), ("full_bu", full_bu)):
-        discards = 0
-        bad = None
-        rng = random.Random(f"{cfg.seed}:prop:full:{scheme_name}")
-        for _ in range(cfg.cases):
-            s = try_(
-                gen_strategy(rules, rng, rng.randrange(1, cfg.max_strategy_size + 1))
-            )
+            if wrap is not None:
+                s = wrap(s)
             t = gen_term(sig, rng, cfg.max_term_depth)
             out = _eval(scheme(s), t, sig, cfg.fuel)
             if isinstance(out, FuelExhausted):
                 discards += 1
-            elif isinstance(out, Failure):
+            elif holds is None:
+                if isinstance(out, Failure):
+                    witnessed = True
+                    break
+            elif not holds(out, t):
                 bad = _render_case((s,), t)
                 break
-        results.append(
-            PropertyResult(
-                f"{scheme_name}-infallible-arg",
-                bad is None,
-                cfg.cases,
-                discards,
-                bad or "",
-            )
-        )
-
-    # once_td and once_bu are fallible: some input must fail
-    for scheme_name, scheme in (("once_td", once_td), ("once_bu", once_bu)):
-        witnessed = False
-        discards = 0
-        for s, t in sample(f"fallible:{scheme_name}"):
-            out = _eval(scheme(s), t, sig, cfg.fuel)
-            if isinstance(out, FuelExhausted):
-                discards += 1
-            elif isinstance(out, Failure):
-                witnessed = True
-                break
-        results.append(
-            PropertyResult(
-                f"{scheme_name}-failure-witnessed", witnessed, cfg.cases, discards
-            )
-        )
-
-    # the descend-first bottom-up scheme is a deep identity traversal
-    discards = 0
-    bad = None
-    import warnings as _warnings
-
-    from .strategies import BogusSchemeWarning, stop_bu
-
-    for s, t in sample("stop_bu-identity"):
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", BogusSchemeWarning)
-            expr = stop_bu(s)
-        out = _eval(expr, t, sig, cfg.fuel)
-        if isinstance(out, FuelExhausted):
-            discards += 1
-        elif not (isinstance(out, Success) and term_eq(out.term, t)):
-            bad = _render_case((s,), t)
-            break
-    results.append(
-        PropertyResult(
-            "stop_bu-deep-identity", bad is None, cfg.cases, discards, bad or ""
-        )
-    )
+        passed = witnessed if holds is None else not bad
+        results.append(PropertyResult(name, passed, cfg.cases, discards, bad))
     return results
 
 

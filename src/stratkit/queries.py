@@ -7,12 +7,16 @@ checked against one monoid, and a query case extracting the wrong kind
 of value is a load/run-time diagnostic instead of a silent coercion.
 
 A query is compiled once, by `compile_query`, to one closure fixed to
-a signature and a monoid, as interp compiles strategies: the query's
-constructors are dispatched on at compile time, not at each visited
-node. A chain of `adhocq` cases over one default becomes one table keyed
-by sort, the outermost case on a sort winning. A case whose extraction
-does not fit the monoid raises KindError when it fires, never at
-compile time. `run_query` compiles and applies in one call.
+a signature and a monoid, as interp compiles strategies and on the same
+explicit-stack walk: the query's constructors are dispatched on at
+compile time, not at each visited node. A chain of `adhocq` cases over
+one default becomes one table keyed by sort, the outermost case on a
+sort winning, and a `<+q` chain, nested either way, one loop over its
+alternatives. A case is the rewrite `terms.compile_rewrite` builds for
+strategy rules, followed by reading the value off its result: an
+extraction using a variable the case does not bind is a TermError at
+compile time, and one that does not fit the monoid raises KindError
+when it fires. `run_query` compiles and applies in one call.
 
 The collection schemes walk terms with an explicit stack; host
 recursion depth stays proportional to the query expression, never the
@@ -27,15 +31,8 @@ from operator import add
 from typing import Callable, Union
 
 from .errors import EngineError, KindError
-from .terms import (
-    Lit,
-    Pattern,
-    PVar,
-    Signature,
-    Term,
-    instantiate,
-    match,
-)
+from .strategies import walk
+from .terms import Lit, Pattern, Signature, Term, compile_rewrite
 
 
 class _NoResult:
@@ -205,8 +202,8 @@ def check_query_kinds(q: QueryExpr, monoid: MonoidSpec) -> None:
 # ---------------------------------------------------------------------------
 # Query compilation
 #
-# Closures Term -> value | NO_RESULT. Compiling recurses on the query and
-# never looks at a term.
+# Closures Term -> value | NO_RESULT, built by one walk of the query on
+# an explicit stack; compiling never looks at a term.
 
 
 def run_query(sig: Signature, q: QueryExpr, t: Term, monoid: MonoidSpec):
@@ -216,16 +213,62 @@ def run_query(sig: Signature, q: QueryExpr, t: Term, monoid: MonoidSpec):
 
 def compile_query(sig: Signature, q: QueryExpr, monoid: MonoidSpec):
     """Closure giving the value of q at a term, or NO_RESULT."""
+    return walk(_compile, q, sig, monoid)
+
+
+def _compile(q: QueryExpr, sig: Signature, monoid: MonoidSpec):
     if isinstance(q, ConstQ):
         value = monoid.unit if q.value is UNIT else q.value
         return lambda t: value
     if isinstance(q, FailQ):
         return lambda t: NO_RESULT
     if isinstance(q, AdhocQ):
-        return _compile_adhoc(q, sig, monoid)
+        # A chain of cases over one default is one table keyed by sort.
+        # The outermost case on a sort shadows the inner ones, as it did
+        # when each case tested the sort in turn.
+        cases = {}
+        while isinstance(q, AdhocQ):
+            cases.setdefault(q.case.sort, _compile_case(q.case, monoid))
+            q = q.default
+        default = yield q, sig, monoid
+        case_for = cases.get
+        constr_sort = sig.constr_sort
+        symbol = sig.symbol
+
+        def adhoc(t):
+            if type(t) is Lit:
+                return case_for(t.sort, default)(t)
+            try:
+                sort = constr_sort[t.constr]
+            except KeyError:
+                # an unvalidated term: the same SignatureError as sort_of
+                sort = symbol(t.constr).result_sort
+            return case_for(sort, default)(t)
+
+        return adhoc
+    if isinstance(q, ChoiceQ):
+        # left-biased choice is associative, so a chain nested either
+        # way is one loop over its alternatives, left to right
+        alts = []
+        todo = [q]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, ChoiceQ):
+                todo += (x.right, x.left)
+            else:
+                alts.append((yield x, sig, monoid))
+
+        def choice(t):
+            for alt in alts:
+                r = alt(t)
+                if r is not NO_RESULT:
+                    return r
+            return NO_RESULT
+
+        return choice
     if isinstance(q, BothQ):
-        left = compile_query(sig, q.left, monoid)
-        right = compile_query(sig, q.right, monoid)
+        left = yield q.left, sig, monoid
+        right = yield q.right, sig, monoid
         combine = monoid.combine
 
         def both(t):
@@ -238,19 +281,10 @@ def compile_query(sig: Signature, q: QueryExpr, monoid: MonoidSpec):
             return combine(a, b)
 
         return both
-    if isinstance(q, ChoiceQ):
-        left = compile_query(sig, q.left, monoid)
-        right = compile_query(sig, q.right, monoid)
+    if not isinstance(q, (AllQ, FullCl, StopCl, OnceCl)):
+        raise EngineError(f"cannot run {q!r}")
 
-        def choice(t):
-            a = left(t)
-            if a is NO_RESULT:
-                return right(t)
-            return a
-
-        return choice
-
-    body = compile_query(sig, q.body, monoid)
+    body = yield q.body, sig, monoid
     fold = monoid.fold
     if isinstance(q, AllQ):
 
@@ -297,81 +331,45 @@ def compile_query(sig: Signature, q: QueryExpr, monoid: MonoidSpec):
             return fold(hits)
 
         return stop_cl
-    if isinstance(q, OnceCl):
 
-        def once_cl(t):
-            # first hit in preorder, left to right
-            stack = [t]
-            while stack:
-                x = stack.pop()
-                r = body(x)
-                if r is not NO_RESULT:
-                    return r
-                if x.children:
-                    stack.extend(reversed(x.children))
-            return NO_RESULT
+    def once_cl(t):
+        # first hit in preorder, left to right
+        stack = [t]
+        while stack:
+            x = stack.pop()
+            r = body(x)
+            if r is not NO_RESULT:
+                return r
+            if x.children:
+                stack.extend(reversed(x.children))
+        return NO_RESULT
 
-        return once_cl
-    raise EngineError(f"cannot run {q!r}")
-
-
-def _compile_adhoc(q: AdhocQ, sig: Signature, monoid: MonoidSpec):
-    # A chain of cases over one default is one table keyed by sort. The
-    # outermost case on a sort shadows the inner ones, as it did when
-    # each case tested the sort in turn.
-    cases = {}
-    while isinstance(q, AdhocQ):
-        if q.case.sort not in cases:
-            cases[q.case.sort] = _compile_case(q.case, monoid)
-        q = q.default
-    default = compile_query(sig, q, monoid)
-    case_for = cases.get
-    constr_sort = sig.constr_sort
-    symbol = sig.symbol
-
-    def adhoc(t):
-        if type(t) is Lit:
-            return case_for(t.sort, default)(t)
-        try:
-            sort = constr_sort[t.constr]
-        except KeyError:
-            # an unvalidated term: the same SignatureError as sort_of
-            sort = symbol(t.constr).result_sort
-        return case_for(sort, default)(t)
-
-    return adhoc
+    return once_cl
 
 
 def _compile_case(case: QueryRule, monoid: MonoidSpec):
-    """Applier for a case on a term of its sort. An extraction outside
-    the monoid's kind raises KindError when the case fires."""
+    """Applier for a case on a term of its sort: the case's rewrite,
+    then the value read off its result. An extraction outside the
+    monoid's kind raises KindError when the case fires."""
+    rewrite = compile_rewrite(case.lhs, case.extract)
     if monoid.kind == "list":
 
-        def value(out):
-            return [out]
+        def listed(t):
+            out = rewrite(t)
+            return NO_RESULT if out is None else [out]
 
-    else:
-        accepts = monoid.accepts
+        return listed
+    accepts = monoid.accepts
 
-        def value(out):
-            if type(out) is Lit and accepts(out.value):
-                return out.value
-            raise KindError(
-                f"case {case.name!r} extracted {out!r}, which does not fit "
-                f"monoid {monoid.name!r}"
-            )
-
-    lhs, extract = case.lhs, case.extract
-    if isinstance(lhs, PVar):
-        if extract == lhs:
-            return value
-        name = lhs.name
-        return lambda t: value(instantiate(extract, {name: t}))
-
-    def general(t):
-        binding = match(lhs, t)
-        if binding is None:
+    def read_off(t):
+        out = rewrite(t)
+        if out is None:
             return NO_RESULT
-        return value(instantiate(extract, binding))
+        if type(out) is Lit and accepts(out.value):
+            return out.value
+        raise KindError(
+            f"case {case.name!r} extracted {out!r}, which does not fit "
+            f"monoid {monoid.name!r}"
+        )
 
-    return general
+    return read_off

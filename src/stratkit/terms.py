@@ -14,7 +14,7 @@ and never recurse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import SignatureError, TermError
 
@@ -182,8 +182,6 @@ class PLit:
 
 Pattern = Union[PVar, PNode, PLit]
 
-Substitution = Mapping[str, Term]
-
 
 def pattern_vars(p: Pattern) -> set[str]:
     out: set[str] = set()
@@ -232,17 +230,61 @@ def match(p: Pattern, t: Term) -> Optional[dict[str, Term]]:
     return binding
 
 
-def instantiate(p: Pattern, subst: Substitution) -> Term:
-    """Replace every variable of p by its binding. Patterns are shallow
-    (they come from rule files), so recursion is fine here."""
+def compile_rewrite(
+    lhs: Pattern, rhs: Pattern, guard: Optional[Callable[[Term], bool]] = None
+):
+    """Applier for the rewrite lhs -> rhs, Term -> Term | None: the
+    instance of rhs under the match of lhs, if it matches and the guard,
+    a predicate on the whole matched term, holds.
+
+    A right side that uses a variable the left side does not bind is a
+    TermError here, before the rewrite ever runs. The shapes that
+    dominate rewriting loops (a variable left side, the identity, one
+    constructor around the matched term) get dedicated closures, so the
+    hot path does no generic matching.
+    """
+    if isinstance(lhs, PVar):
+        name = lhs.name
+        if isinstance(rhs, PVar) and rhs.name == name:
+            if guard is None:
+                return lambda t: t
+            return lambda t: t if guard(t) else None
+        if guard is None and isinstance(rhs, PNode) and rhs.children == (lhs,):
+            constr = rhs.constr
+            return lambda t: Node(constr, (t,))
+        build = _builder(rhs, {name})
+        if guard is None:
+            return lambda t: build({name: t})
+        return lambda t: build({name: t}) if guard(t) else None
+
+    build = _builder(rhs, pattern_vars(lhs))
+
+    def general(t):
+        binding = match(lhs, t)
+        if binding is None or (guard is not None and not guard(t)):
+            return None
+        return build(binding)
+
+    return general
+
+
+def _builder(p: Pattern, bound: set[str]):
+    """Binding -> the instance of p. Patterns are shallow (they come
+    from rule files), so recursion is fine here."""
     if isinstance(p, PVar):
-        try:
-            return subst[p.name]
-        except KeyError:
-            raise TermError(f"unbound pattern variable {p.name!r}") from None
+        name = p.name
+        if name not in bound:
+            raise TermError(f"unbound pattern variable {name!r}")
+        return lambda b: b[name]
     if isinstance(p, PLit):
-        return Lit(p.value, p.sort)
-    return Node(p.constr, tuple(instantiate(c, subst) for c in p.children))
+        lit = Lit(p.value, p.sort)
+        return lambda b: lit
+    fns = tuple(_builder(c, bound) for c in p.children)
+    constr = p.constr
+    if not fns:
+        node = Node(constr)
+        return lambda b: node
+    return lambda b: Node(constr, tuple(f(b) for f in fns))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,21 @@ from stratkit.strategies import (
     Seq,
     Var,
 )
-from stratkit.terms import Node, instantiate, match, sort_of
+from stratkit.errors import TermError
+from stratkit.terms import Lit, Node, PLit, PVar, match, sort_of
+
+
+def instantiate(p, subst):
+    """p with every variable replaced by its binding: the reference for
+    the right sides `stratkit.terms.compile_rewrite` builds."""
+    if isinstance(p, PVar):
+        try:
+            return subst[p.name]
+        except KeyError:
+            raise TermError(f"unbound pattern variable {p.name!r}") from None
+    if isinstance(p, PLit):
+        return Lit(p.value, p.sort)
+    return Node(p.constr, tuple(instantiate(c, subst) for c in p.children))
 
 
 def apply_rule(rule, t, sig):

@@ -218,7 +218,7 @@ def test_bad_term_file(fixtures_dir, tmp_path):
         ],
     )
     assert result.exit_code == 2
-    assert "unclosed" in result.stderr
+    assert result.stderr == f"{bad}:1:1: unclosed '(' for 'Succ'\n"
 
 
 def test_ill_sorted_term_is_rejected_before_running(fixtures_dir, tmp_path):
@@ -436,6 +436,23 @@ def test_a_long_main_runs_and_is_analysed_at_the_default_recursion_limit(
     proc = _cli(argv + [str(term)] if command == ["run"] else argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == stdout
+
+
+def test_a_long_query_choice_chain_runs_at_the_default_recursion_limit(
+    fixtures_dir, tmp_path
+):
+    # a <+q chain is compiled on an explicit stack and run as one loop
+    queryfile = tmp_path / "long.query"
+    queryfile.write_text(
+        "qrule getsal : Salary = s -> s\nmain = "
+        + "failq <+q " * (LONG_MAIN_STEPS - 1)
+        + "full_cl(adhocq(constq(unit), getsal))\n"
+    )
+    proc = _cli(
+        ["query", "--monoid", "float-sum", str(fixtures_dir / "company.sig"),
+         str(queryfile), str(fixtures_dir / "terms" / "c0.term")]
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "130.0\n", "")
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3])

@@ -168,6 +168,16 @@ def test_load_fixture_signature_and_terms(company_sig, fixtures_dir):
     assert parse_term(term_to_sexpr(c0)) == c0
 
 
+def test_a_term_file_error_names_the_file(tmp_path):
+    from stratkit.files import load_term
+
+    bad = tmp_path / "bad.term"
+    bad.write_text("(Node\n  (Zero)\n  (Succ\n")
+    with pytest.raises(ParseError) as exc:
+        load_term(str(bad))
+    assert str(exc.value) == f"{bad}:3:3: unclosed '(' for 'Succ'"
+
+
 @given(nat_trees)
 def test_roundtrip_agrees_with_repr(t):
     # Node.__repr__ delegates to the printer, so error messages show

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genlib import apply_rule, nat, strategy_exprs, terms
-from stratkit.errors import EngineError
+from stratkit.errors import EngineError, TermError
 from stratkit.interp import (
     DEFAULT_FUEL,
     CompiledStrategy,
@@ -30,6 +30,7 @@ from stratkit.strategies import (
     All,
     Choice,
     One,
+    RuleDef,
     RuleRef,
     Seq,
     Var,
@@ -42,7 +43,7 @@ from stratkit.strategies import (
     stop_td,
     try_,
 )
-from stratkit.terms import Lit, Node, sort_of, validate_term
+from stratkit.terms import Lit, Node, PNode, PVar, sort_of, validate_term
 
 FAILED = object()
 
@@ -366,6 +367,16 @@ def test_trace_collects_the_fired_rule_block(sig, rules):
 def test_unbound_variable_is_rejected_at_compile_time(sig):
     with pytest.raises(EngineError, match="unbound"):
         CompiledStrategy(Var("ghost"), sig)
+
+
+@pytest.mark.parametrize("lhs", [PVar("n"), PNode("Succ", (PVar("n"),))])
+def test_an_unbound_rule_variable_is_rejected_at_compile_time(sig, lhs):
+    # a rule whose right side the parser would reject, built directly
+    ghost = RuleDef("ghost", "Nat", lhs, PNode("Succ", (PVar("m"),)))
+    for s in (RuleRef(ghost), Adhoc(ID, rule_choice(ghost, ghost))):
+        with pytest.raises(TermError) as exc:
+            CompiledStrategy(s, sig)
+        assert str(exc.value) == "unbound pattern variable 'm'"
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ law table itself, and hand-verified witnesses for the three non-laws."""
 
 import itertools
 import random
+import re
 
 import pytest
 
 import stratkit.laws as laws
-from stratkit.interp import CompiledStrategy, Failure, Success
+from stratkit.interp import CompiledStrategy, Failure, FuelExhausted, Success
 from stratkit.laws import (
     LAWS,
     NONLAWS,
@@ -173,20 +174,80 @@ def test_hand_picked_witnesses_refute_each_nonlaw(sig, rules):
 # Scheme properties and empirical soundness
 
 
+SCHEME_PROPERTIES = (
+    "stop_td-never-fails",
+    "innermost-never-fails",
+    "full_td-infallible-arg",
+    "full_bu-infallible-arg",
+    "once_td-failure-witnessed",
+    "once_bu-failure-witnessed",
+    "stop_bu-deep-identity",
+)
+
+
 def test_scheme_properties_smoke(sig, rules):
     results = check_scheme_properties(sig, list(rules.values()), GenConfig(cases=80))
-    assert {r.name for r in results} == {
-        "stop_td-never-fails",
-        "innermost-never-fails",
-        "full_td-infallible-arg",
-        "full_bu-infallible-arg",
-        "once_td-failure-witnessed",
-        "once_bu-failure-witnessed",
-        "stop_bu-deep-identity",
-    }
+    assert [r.name for r in results] == list(SCHEME_PROPERTIES)
     for r in results:
         assert r.passed, r.line()
         assert r.line() == f"PROPERTY {r.name} PASS"
+
+
+#: discards of innermost-never-fails and full_td-infallible-arg at 300
+#: cases per seed; every other property has none, and all pass
+PINNED_DISCARDS = {2026: (165, 48), 1: (168, 40), 7: (168, 39), 99: (163, 32)}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DISCARDS))
+def test_scheme_property_results_are_pinned(sig, rules, seed):
+    # the draws of each property come from its own labelled generator,
+    # so these numbers change only if a label or the draw order does
+    results = check_scheme_properties(
+        sig, list(rules.values()), GenConfig(seed=seed, cases=300)
+    )
+    innermost, full_td = PINNED_DISCARDS[seed]
+    discards = dict.fromkeys(SCHEME_PROPERTIES, 0)
+    discards["innermost-never-fails"] = innermost
+    discards["full_td-infallible-arg"] = full_td
+    assert [(r.name, r.passed, r.cases, r.discards, r.detail) for r in results] == [
+        (name, True, 300, n, "") for name, n in discards.items()
+    ]
+
+
+WITNESSED = {"once_td-failure-witnessed", "once_bu-failure-witnessed"}
+
+
+@pytest.mark.parametrize(
+    "outcome, passing, discards",
+    [
+        # every run fails: a counterexample for each predicate, and a
+        # witness for each fallible scheme at the first case
+        (Failure(), WITNESSED, 0),
+        # every run returns its term: the fallible schemes miss a witness
+        (None, set(SCHEME_PROPERTIES) - WITNESSED, 0),
+        # every run is discarded: nothing refutes, nothing witnesses
+        (FuelExhausted(5), set(SCHEME_PROPERTIES) - WITNESSED, 20),
+    ],
+)
+def test_scheme_properties_report_counterexamples_and_missing_witnesses(
+    sig, rules, monkeypatch, outcome, passing, discards
+):
+    monkeypatch.setattr(
+        laws, "_eval", lambda s, t, sig, fuel: outcome or Success(t)
+    )
+    results = check_scheme_properties(sig, list(rules.values()), GenConfig(cases=20))
+    assert [r.name for r in results] == list(SCHEME_PROPERTIES)
+    for r in results:
+        assert r.passed == (r.name in passing), r.line()
+        assert (r.cases, r.discards) == (20, discards)
+        if r.passed or r.name in WITNESSED:
+            assert r.detail == ""
+            assert r.line() == f"PROPERTY {r.name} {'PASS' if r.passed else 'FAIL'}"
+        else:
+            # the first generated case, with its argument as the scheme got it
+            assert re.fullmatch(r"s1=.+ t=\(.+\)", r.detail), r.detail
+            assert r.line() == f"PROPERTY {r.name} FAIL {r.detail}"
+            assert (" <+ id t=" in r.detail) == r.name.startswith("full_")
 
 
 def test_soundness_smoke(sig, rules):

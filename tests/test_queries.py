@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stratkit.errors import KindError, SignatureError
+from stratkit.errors import KindError, SignatureError, TermError
 from stratkit.queries import (
     MONOIDS,
     NO_RESULT,
@@ -38,11 +38,12 @@ from stratkit.terms import (
     PLit,
     PNode,
     PVar,
-    instantiate,
     match,
     sort_of,
     subterms,
 )
+
+from genlib import instantiate
 
 # ---------------------------------------------------------------------------
 # Company vocabulary
@@ -439,3 +440,32 @@ def test_pairing_needs_a_result_on_both_sides(company_sig):
 def test_unit_constant_means_the_monoid_unit(company_sig):
     assert run_query(company_sig, ConstQ(UNIT), C0, MONOIDS["int-sum"]) == 0
     assert run_query(company_sig, ConstQ(UNIT), C0, MONOIDS["max"]) is None
+
+
+def test_an_unbound_extract_variable_is_rejected_at_compile_time(company_sig):
+    ghost = QueryRule(
+        "ghost", "Employee", PNode("Employee", (PVar("n"), PVar("s"))), PVar("m")
+    )
+    # a case shadowed by an outer one on its sort is compiled all the same
+    for q in (AdhocQ(FailQ(), ghost), FullCl(AdhocQ(AdhocQ(FailQ(), ghost), EMPSAL))):
+        with pytest.raises(TermError) as exc:
+            compile_query(company_sig, q, MONOIDS["float-sum"])
+        assert str(exc.value) == "unbound pattern variable 'm'"
+
+
+@pytest.mark.parametrize("n", [2, 10_000])
+def test_a_long_choice_chain_is_one_loop(company_sig, n):
+    # nested to the right, as a parenthesised chain is, and to the left,
+    # as a parsed one is
+    total = FullCl(AdhocQ(ConstQ(UNIT), GETSAL))
+    right, left = total, FailQ()
+    for _ in range(n - 1):
+        right = ChoiceQ(FailQ(), right)
+    for _ in range(n - 2):
+        left = ChoiceQ(left, FailQ())
+    want = ref_query(company_sig, total, C0, MONOIDS["float-sum"])
+    for q in (right, ChoiceQ(left, total)):
+        assert run_query(company_sig, q, C0, MONOIDS["float-sum"]) == want
+    # the first alternative with a result wins
+    first = ChoiceQ(ChoiceQ(FailQ(), ConstQ(1.0)), total)
+    assert run_query(company_sig, first, C0, MONOIDS["float-sum"]) == 1.0

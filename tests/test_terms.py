@@ -8,6 +8,7 @@ the library versions are iterative.
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from stratkit.errors import SignatureError, TermError
 from stratkit.terms import (
@@ -18,9 +19,9 @@ from stratkit.terms import (
     PVar,
     Signature,
     Symbol,
+    compile_rewrite,
     count,
     depth,
-    instantiate,
     is_constant,
     match,
     pattern_vars,
@@ -30,7 +31,8 @@ from stratkit.terms import (
     validate_term,
 )
 
-from genlib import nat, nat_trees as trees, natlist, nats
+from genlib import instantiate, nat, nat_trees as trees, natlist, nats
+from stratkit.strategies import GUARDS
 
 # ---------------------------------------------------------------------------
 # Naive recursive oracles
@@ -151,6 +153,82 @@ def test_match_on_literals_and_misfits():
 def test_instantiate_unbound_variable_raises():
     with pytest.raises(TermError, match="unbound"):
         instantiate(PVar("ghost"), {})
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        (PVar("n"), PVar("m")),
+        (PVar("n"), PNode("Succ", (PVar("m"),))),
+        (PNode("Succ", (PVar("n"),)), PNode("Node", (PVar("n"), PVar("m")))),
+        (PLit(0, "S"), PVar("m")),
+    ],
+)
+def test_compile_rewrite_rejects_an_unbound_variable(lhs, rhs):
+    for guard in (None, GUARDS["even_nat"]):
+        with pytest.raises(TermError) as exc:
+            compile_rewrite(lhs, rhs, guard)
+        assert str(exc.value) == "unbound pattern variable 'm'"
+
+
+# A small vocabulary of its own: F/2, G/1, A and B, and literals of two
+# kinds and two sorts, so that generated patterns often match generated
+# terms.
+_LITS = [Lit(0, "S"), Lit(1, "S"), Lit(1.0, "S"), Lit(1, "T")]
+_small_terms = st.recursive(
+    st.sampled_from([Node("A"), Node("B")] + _LITS),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda p: Node("F", p)),
+        sub.map(lambda c: Node("G", (c,))),
+    ),
+    max_leaves=6,
+)
+
+
+def _patterns(names):
+    """Patterns over the small vocabulary with variables from names."""
+    leaves = [st.sampled_from([PNode("A"), PNode("B")]),
+              st.sampled_from([PLit(x.value, x.sort) for x in _LITS])]
+    if names:
+        leaves.append(st.sampled_from(sorted(names)).map(PVar))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda p: PNode("F", p)),
+            sub.map(lambda c: PNode("G", (c,))),
+        ),
+        max_leaves=5,
+    )
+
+
+_guards = st.sampled_from([None, lambda t: t.depth % 2 == 0, *GUARDS.values()])
+
+
+@given(st.data())
+def test_compile_rewrite_agrees_with_match_and_instantiate(data):
+    # with one or three variable names, repeated (non-linear) ones are
+    # common; a variable alone is drawn as often as the rest together
+    names = data.draw(st.sampled_from([{"x"}, {"x", "y", "z"}]))
+    lhs = data.draw(st.one_of(st.just(PVar("x")), _patterns(names)))
+    bound = pattern_vars(lhs)
+    shapes = [_patterns(bound)]
+    if isinstance(lhs, PVar):
+        # the identity and one constructor around the matched term
+        shapes += [st.just(lhs), st.just(PNode("G", (lhs,)))]
+    rhs = data.draw(st.one_of(shapes))
+    guard = data.draw(_guards)
+    rewrite = compile_rewrite(lhs, rhs, guard)
+    # a term built from the left side matches it; a drawn one often not
+    binding = {v: data.draw(_small_terms) for v in sorted(bound)}
+    for t in (instantiate(lhs, binding), data.draw(_small_terms)):
+        theta = match(lhs, t)
+        if theta is None or (guard is not None and not guard(t)):
+            want = None
+        else:
+            want = instantiate(rhs, theta)
+        got = rewrite(t)
+        # repr tells a literal 1 from 1.0
+        assert repr(got) == repr(want)
 
 
 def test_pattern_vars_collects_all_names():
