@@ -8,8 +8,8 @@ class StratkitError(Exception):
 
 
 class ParseError(StratkitError):
-    """A file failed to parse; carries a position when one is known, and
-    then names the file it is in when `origin` is given."""
+    """A file failed to parse; names the file it is in when `origin` is
+    given, then the position when one is known."""
 
     def __init__(
         self,
@@ -20,11 +20,11 @@ class ParseError(StratkitError):
     ):
         self.line = line
         self.col = col
+        where = [] if origin is None else [origin]
         if line is not None:
-            where = f"{line}" if col is None else f"{line}:{col}"
-            if origin is not None:
-                where = f"{origin}:{where}"
-            message = f"{where}: {message}"
+            where.append(f"{line}" if col is None else f"{line}:{col}")
+        if where:
+            message = f"{':'.join(where)}: {message}"
         super().__init__(message)
 
 

@@ -98,7 +98,7 @@ def parse_signature(text: str, origin: Optional[str] = None) -> Signature:
     try:
         return Signature(sorts, symbols, prims)
     except SignatureError as e:
-        raise ParseError(str(e) if origin is None else f"{origin}: {e}") from None
+        raise ParseError(str(e), origin=origin) from None
 
 
 def load_signature(path: str) -> Signature:
@@ -136,7 +136,7 @@ def _unescape(m: re.Match) -> str:
 
 def parse_term(text: str, origin: Optional[str] = None) -> Term:
     """Read exactly one term; trailing input is an error, which reads
-    `[origin:]line:col: …`.
+    `[origin:]line:col: …` (`[origin: ]…` for input without a term).
 
     One pass over the tokens builds the term with an explicit stack of
     open applications. Positions are worked out only for an error.
@@ -221,7 +221,7 @@ def parse_term(text: str, origin: Optional[str] = None) -> Term:
         constr, _, at = stack[-1]
         fail(f"unclosed '(' for {constr!r}", at)
     if not top:
-        raise ParseError("empty input, expected a term")
+        raise ParseError("empty input, expected a term", origin=origin)
     return top[0]
 
 

@@ -245,10 +245,8 @@ def compile_rewrite(
     """
     if isinstance(lhs, PVar):
         name = lhs.name
-        if isinstance(rhs, PVar) and rhs.name == name:
-            if guard is None:
-                return lambda t: t
-            return lambda t: t if guard(t) else None
+        if guard is None and isinstance(rhs, PVar) and rhs.name == name:
+            return lambda t: t
         if guard is None and isinstance(rhs, PNode) and rhs.children == (lhs,):
             constr = rhs.constr
             return lambda t: Node(constr, (t,))

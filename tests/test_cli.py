@@ -205,20 +205,32 @@ def test_missing_file_is_a_usage_error(fixtures_dir):
     assert result.exit_code == 2
 
 
-def test_bad_term_file(fixtures_dir, tmp_path):
-    bad = tmp_path / "bad.term"
-    bad.write_text("(Succ\n")
-    result = CliRunner().invoke(
+def _run_on_term_file(fixtures_dir, path):
+    return CliRunner().invoke(
         main,
         [
             "run",
             str(fixtures_dir / "nat_tree.sig"),
             str(fixtures_dir / "programs" / "stop_increment.strat"),
-            str(bad),
+            str(path),
         ],
     )
+
+
+def test_bad_term_file(fixtures_dir, tmp_path):
+    bad = tmp_path / "bad.term"
+    bad.write_text("(Succ\n")
+    result = _run_on_term_file(fixtures_dir, bad)
     assert result.exit_code == 2
     assert result.stderr == f"{bad}:1:1: unclosed '(' for 'Succ'\n"
+
+
+def test_a_term_file_without_a_term_is_named(fixtures_dir, tmp_path):
+    empty = tmp_path / "empty.term"
+    empty.write_text("; no term here\n")
+    result = _run_on_term_file(fixtures_dir, empty)
+    assert result.exit_code == 2
+    assert result.stderr == f"{empty}: empty input, expected a term\n"
 
 
 def test_ill_sorted_term_is_rejected_before_running(fixtures_dir, tmp_path):

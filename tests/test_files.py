@@ -176,6 +176,11 @@ def test_a_term_file_error_names_the_file(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_term(str(bad))
     assert str(exc.value) == f"{bad}:3:3: unclosed '(' for 'Succ'"
+    for text in ("", "; only a comment\n  \n"):
+        bad.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_term(str(bad))
+        assert str(exc.value) == f"{bad}: empty input, expected a term"
 
 
 @given(nat_trees)
