@@ -16,27 +16,9 @@ import click
 
 from .dsl import load_program, load_query_program
 from .errors import StratkitError
-from .fallibility import Sf, scan_dead_choices, sf_analyse, sf_type_of
 from .files import load_term, term_to_sexpr
 from .interp import DEFAULT_FUEL, Failure, FuelExhausted, Success, evaluate
-from .laws import (
-    GenConfig,
-    builtin_rules,
-    builtin_signature,
-    check_laws,
-    check_scheme_properties,
-    check_soundness,
-    find_nonlaw_counterexamples,
-)
 from .queries import NO_RESULT, check_query_kinds, get_monoid, MONOIDS
-from .reachability import OVER_REPORT_NOTE, dead_case_report, reach_analyse
-from .termination import (
-    ANY,
-    parse_measure,
-    show_vec,
-    term_type_of,
-    verify_annotations,
-)
 from .terms import validate_term
 
 
@@ -48,7 +30,8 @@ def _die(message: str, code: int) -> None:
 class _Main(click.Group):
     """The command group. Only the parser on nested forms recurses on the
     Python stack; input too deep for it is a usage error (exit 2) on one
-    stderr line, not a traceback under the findings code."""
+    stderr line, not a traceback under the findings code. Each command
+    imports the analyses it uses itself, so `run` and `query` start without them."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -154,9 +137,8 @@ def _definitions(prog) -> list:
     return items
 
 
-def _dead_choices(label: str, body, params) -> int:
-    """Echo each dead choice in body; their number."""
-    found = scan_dead_choices(body, {p: False for p in params})
+def _dead_choices(label: str, found: list) -> int:
+    """Echo each dead choice found in label's body; their number."""
     for path, left in found:
         click.echo(f"{label}: dead choice at {path}: left operand {left} cannot fail")
     return len(found)
@@ -169,14 +151,16 @@ def _dead_choices(label: str, body, params) -> int:
               help="Reject choices whose left operand cannot fail.")
 def fallibility(signature: str, program: str, strict: bool) -> None:
     """Success/failure behavior of each definition and of main."""
+    from .fallibility import Sf, sf_analyse, sf_strict, sf_type_of
+
     prog = _usage(load_program, signature, program)
     findings = 0
     for label, body, params in _definitions(prog):
         value = sf_analyse(body, {p: Sf.ANY for p in params})
-        verdict = sf_type_of(body, {p: False for p in params}, strict=strict)
+        ctx = {p: False for p in params}
+        verdict, found = sf_strict(body, ctx) if strict else (sf_type_of(body, ctx), [])
         click.echo(f"{label}: sf={value} type={_type_text(verdict)}")
-        if strict:
-            findings += _dead_choices(label, body, params)
+        findings += _dead_choices(label, found)
     sys.exit(1 if findings else 0)
 
 
@@ -186,6 +170,8 @@ def fallibility(signature: str, program: str, strict: bool) -> None:
 @click.option("--root", required=True, help="Sort of the run's root terms.")
 def reach(signature: str, program: str, root: str) -> None:
     """Which rules can fire, per root sort; dead cases from --root."""
+    from .reachability import OVER_REPORT_NOTE, dead_case_report, reach_analyse
+
     prog = _usage(load_program, signature, program)
     rmap = _usage(reach_analyse, prog.signature, prog.main)
     dead = _usage(dead_case_report, prog.signature, prog.main, root)
@@ -205,6 +191,8 @@ def reach(signature: str, program: str, root: str) -> None:
               help='Measure components, e.g. "count:Lam,depth".')
 def termination(signature: str, program: str, measure_spec: str) -> None:
     """Prove (or fail to prove) termination under a measure."""
+    from .termination import ANY, parse_measure, show_vec, term_type_of, verify_annotations
+
     prog = _usage(load_program, signature, program)
     m = _usage(parse_measure, measure_spec)
     findings = 0
@@ -226,6 +214,9 @@ def termination(signature: str, program: str, measure_spec: str) -> None:
               type=click.IntRange(min=1))
 def laws(seed: int, cases: int) -> None:
     """Check the algebraic laws against the interpreter."""
+    from .laws import GenConfig, builtin_rules, builtin_signature, check_laws
+    from .laws import check_scheme_properties, check_soundness, find_nonlaw_counterexamples
+
     cfg = GenConfig(seed=seed, cases=cases)
     sig = builtin_signature()
     rules = builtin_rules()
@@ -256,6 +247,10 @@ def laws(seed: int, cases: int) -> None:
 @click.option("--measure", "measure_spec", default="depth", show_default=True)
 def lint(signature: str, program: str, root: str | None, measure_spec: str) -> None:
     """All load checks, lints, and analysis findings in one pass."""
+    from .fallibility import scan_dead_choices
+    from .reachability import dead_case_report
+    from .termination import ANY, parse_measure, term_type_of, verify_annotations
+
     prog = _usage(load_program, signature, program)
     findings = 0
     for line in prog.lints:
@@ -263,7 +258,7 @@ def lint(signature: str, program: str, root: str | None, measure_spec: str) -> N
         click.echo(f"lint: {line}")
     items = _definitions(prog)
     for label, body, params in items:
-        findings += _dead_choices(label, body, params)
+        findings += _dead_choices(label, scan_dead_choices(body, {p: False for p in params}))
     if root is not None:
         dead = _usage(dead_case_report, prog.signature, prog.main, root)
         for _case, diagnostic in dead:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import LoadError, ParseError, StratkitError
@@ -60,6 +59,7 @@ from .queries import (
     QueryRule,
     StopCl,
 )
+from .records import factory, mutable_record, record
 from .strategies import (
     FAIL,
     GUARDS,
@@ -107,7 +107,6 @@ from .terms import (
     Signature,
     pattern_vars,
 )
-from .termination import Rel, parse_rel
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +310,28 @@ _QUERY = _Language("query", {"<+q": (0, ChoiceQ)}, None, _QUERY_FORMS, frozenset
 # Declarations
 
 
-@dataclass(frozen=True)
+@record
 class Def:
     name: str
     params: tuple[str, ...]
     body: Strategy
 
 
-@dataclass
+@mutable_record
 class Program:
     signature: Signature
     rules: dict[str, RuleDef]
     defs: dict[str, Def]
     main: Strategy
-    lints: list[str] = field(default_factory=list)
+    lints: list[str] = factory(list)
 
 
-@dataclass
+@mutable_record
 class QueryProgram:
     signature: Signature
     qrules: dict[str, QueryRule]
     main: QueryExpr
-    lints: list[str] = field(default_factory=list)
+    lints: list[str] = factory(list)
 
 
 class _Parser:
@@ -551,7 +550,9 @@ class _Parser:
         self.end("@effect(...)")
         return ("effect", tuple(rels))
 
-    def relation(self) -> Rel:
+    def relation(self):
+        from .termination import parse_rel  # only effect claims need it
+
         t = self.ident("effect component (less/leq/any)")
         try:
             return parse_rel(str(t.value))

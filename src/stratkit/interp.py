@@ -15,10 +15,10 @@ reference is a plain jump and the machine needs no environment.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import EngineError
+from .records import record
 from .strategies import (
     GUARDS,
     Adhoc,
@@ -44,17 +44,17 @@ from .terms import Lit, Node, Signature, Term, compile_rewrite
 DEFAULT_FUEL = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class Success:
     term: Term
 
 
-@dataclass(frozen=True)
+@record
 class Failure:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FuelExhausted:
     steps: int
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .interp import CompiledStrategy, Failure, FuelExhausted, Outcome, Success
+from .records import mutable_record, record
 from .strategies import (
     FAIL,
     ID,
@@ -62,7 +62,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class GenConfig:
     seed: int = 2026
     cases: int = 1000
@@ -213,7 +213,7 @@ def gen_strategy(
 # Law table
 
 
-@dataclass(frozen=True)
+@record
 class Law:
     name: str
     slots: int
@@ -280,7 +280,7 @@ LAWS: tuple[Law, ...] = (
 )
 
 
-@dataclass
+@mutable_record
 class LawResult:
     name: str
     passed: bool
@@ -403,7 +403,7 @@ def check_laws(
 # Non-laws: bounded deterministic counterexample search
 
 
-@dataclass(frozen=True)
+@record
 class Nonlaw:
     name: str
     slots: int
@@ -455,7 +455,7 @@ def _term_universe(sig: Signature) -> list[Term]:
     return [zero, one, two, tree1, Node("True")]
 
 
-@dataclass
+@mutable_record
 class NonlawResult:
     name: str
     counterexample: Optional[str]
@@ -532,7 +532,7 @@ def _show_outcome(o: Outcome) -> str:
 # Scheme properties and empirical soundness
 
 
-@dataclass
+@mutable_record
 class PropertyResult:
     name: str
     passed: bool
@@ -610,7 +610,7 @@ def check_scheme_properties(
     return results
 
 
-@dataclass
+@mutable_record
 class SoundnessResult:
     runs: int
     failures: int

@@ -25,12 +25,12 @@ term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Callable, Union
 
 from .errors import EngineError, KindError
+from .records import record
 from .strategies import walk
 from .terms import Lit, Pattern, Signature, Term, compile_rewrite
 
@@ -46,7 +46,7 @@ class _NoResult:
 NO_RESULT = _NoResult()
 
 
-@dataclass(frozen=True)
+@record
 class MonoidSpec:
     name: str
     unit: object
@@ -114,7 +114,7 @@ class _Unit:
 UNIT = _Unit()
 
 
-@dataclass(frozen=True)
+@record
 class QueryRule:
     """A sort-specific extraction: match lhs, build the extract pattern
     under the binding, and read the value off the resulting term."""
@@ -125,50 +125,50 @@ class QueryRule:
     extract: Pattern
 
 
-@dataclass(frozen=True)
+@record
 class ConstQ:
     value: object
 
 
-@dataclass(frozen=True)
+@record
 class FailQ:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class BothQ:
     left: "QueryExpr"
     right: "QueryExpr"
 
 
-@dataclass(frozen=True)
+@record
 class ChoiceQ:
     left: "QueryExpr"
     right: "QueryExpr"
 
 
-@dataclass(frozen=True)
+@record
 class AllQ:
     body: "QueryExpr"
 
 
-@dataclass(frozen=True)
+@record
 class AdhocQ:
     default: "QueryExpr"
     case: QueryRule
 
 
-@dataclass(frozen=True)
+@record
 class FullCl:
     body: "QueryExpr"
 
 
-@dataclass(frozen=True)
+@record
 class StopCl:
     body: "QueryExpr"
 
 
-@dataclass(frozen=True)
+@record
 class OnceCl:
     body: "QueryExpr"
 

@@ -14,17 +14,17 @@ import itertools
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 from typing import Callable, Generator, Iterator, Optional, TypeVar, Union
 
 from .errors import EngineError, StratkitError
+from .records import record, replace
 from .terms import Lit, Node, Pattern, Term
 
 # ---------------------------------------------------------------------------
 # Rules
 
 
-@dataclass(frozen=True)
+@record
 class RuleDef:
     """A named rewrite rule on a single sort.
 
@@ -42,7 +42,7 @@ class RuleDef:
     effect_claim: Optional[tuple[str, ...]] = None
 
 
-@dataclass(frozen=True)
+@record
 class RuleChoice:
     """Left-biased alternative of same-sort rules, applied as one rule."""
 
@@ -57,7 +57,7 @@ class RuleChoice:
         return self.members[0].sort
 
 
-@dataclass(frozen=True)
+@record
 class RuleSeq:
     """Pipeline of same-sort rules; fails unless every stage applies."""
 
@@ -150,55 +150,55 @@ GUARDS: dict[str, Callable[[Term], bool]] = {
 # Strategy expressions
 
 
-@dataclass(frozen=True)
+@record
 class Id:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Fail:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Seq:
     left: "Strategy"
     right: "Strategy"
 
 
-@dataclass(frozen=True)
+@record
 class Choice:
     left: "Strategy"
     right: "Strategy"
 
 
-@dataclass(frozen=True)
+@record
 class All:
     body: "Strategy"
 
 
-@dataclass(frozen=True)
+@record
 class One:
     body: "Strategy"
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Rec:
     name: str
     body: "Strategy"
 
 
-@dataclass(frozen=True)
+@record
 class RuleRef:
     rule: Rule
 
 
-@dataclass(frozen=True)
+@record
 class Adhoc:
     """Sort dispatch: apply `rule` on its own sort, `default` elsewhere."""
 

@@ -18,10 +18,10 @@ strategy diverges.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import EngineError, ParseError
+from .records import record
 from .strategies import (
     Adhoc,
     All,
@@ -102,12 +102,12 @@ def parse_rel(text: str) -> Rel:
 # Measures and relation vectors
 
 
-@dataclass(frozen=True)
+@record
 class CountComponent:
     constr: str
 
 
-@dataclass(frozen=True)
+@record
 class DepthComponent:
     pass
 
@@ -117,7 +117,7 @@ Component = Union[CountComponent, DepthComponent]
 DEPTH = DepthComponent()
 
 
-@dataclass(frozen=True)
+@record
 class Measure:
     components: tuple[Component, ...]
 

@@ -13,10 +13,10 @@ and never recurse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import SignatureError, TermError
+from .records import record
 
 Sort = str
 
@@ -163,18 +163,18 @@ def is_constant(t: Term) -> bool:
 # Patterns and substitution
 
 
-@dataclass(frozen=True)
+@record
 class PVar:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class PNode:
     constr: str
     children: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class PLit:
     value: Union[int, float, str]
     sort: Sort
@@ -289,7 +289,7 @@ def _builder(p: Pattern, bound: set[str]):
 # Signatures
 
 
-@dataclass(frozen=True)
+@record
 class Symbol:
     constr: str
     arg_sorts: tuple[Sort, ...]

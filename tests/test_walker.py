@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import walker_oracle as oracle
 from genlib import nat, terms
 from stratkit.dsl import Def, _param_linearity_lints
-from stratkit.fallibility import Sf, scan_dead_choices, sf_analyse, sf_type_of
+from stratkit.fallibility import Sf, scan_dead_choices, sf_analyse, sf_strict, sf_type_of
 from stratkit.interp import _FAILED, CompiledStrategy, Failure, FuelExhausted, Success, _execute
 from stratkit.laws import _adhocify, builtin_rules, builtin_signature
 from stratkit.reachability import _rule_map, dead_case_report, mentioned_cases, reach_analyse
@@ -151,6 +151,40 @@ def test_fallibility_matches_the_oracle(s, env, ctx):
         assert_same(scan_dead_choices, oracle.scan_dead_choices, scanned, ctx)
 
 
+def with_dead_choices(max_leaves=8):
+    """Strategies with a dead choice, `id <+ s` or `try(s) <+ s`, put
+    under a rec, an adhoc or an all, inside a generated strategy."""
+    dead = st.tuples(st.sampled_from([ID, Choice(ID, FAIL)]), strategies(4)).map(
+        lambda p: Choice(*p)
+    )
+    wrapped = st.one_of(
+        st.tuples(st.sampled_from(NAMES), dead).map(lambda p: Rec(*p)),
+        st.tuples(dead, st.sampled_from(RULES)).map(lambda p: Adhoc(*p)),
+        dead.map(All),
+    )
+    return st.tuples(wrapped, strategies(max_leaves), st.booleans()).map(
+        lambda p: Seq(p[0], p[1]) if p[2] else Choice(p[1], p[0])
+    )
+
+
+def typed_separately(type_of, scan, s, ctx):
+    return type_of(s, ctx, strict=True), scan(s, ctx)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(with_dead_choices(), strategies()),
+    st.dictionaries(st.sampled_from(NAMES), st.sampled_from([True, False])),
+)
+def test_one_strict_walk_gives_the_verdict_and_findings_of_two(s, ctx):
+    assume(rec_nesting(s) <= 4)
+    one_walk = outcome(sf_strict, s, ctx)
+    assert one_walk == outcome(typed_separately, sf_type_of, scan_dead_choices, s, ctx)
+    assert one_walk == outcome(
+        typed_separately, oracle.sf_type_of, oracle.scan_dead_choices, s, ctx
+    )
+
+
 @settings(deadline=None)
 @given(
     strategies(),
@@ -236,7 +270,7 @@ def test_every_walk_runs_beyond_the_recursion_limit(shape):
     text = print_strategy(s)
     assert text.count("adhoc") == depth + 1
     assert free_vars(s) == frozenset()
-    # deep dataclasses do not compare without recursion; their text does
+    # deep records do not compare without recursion; their text does
     assert print_strategy(substitute(s, {"v": ID})) == text
     assert print_strategy(_adhocify(s)) == text
     assert sf_analyse(s) is Sf.FORALL_SUCCESS
