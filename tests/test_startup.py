@@ -52,9 +52,8 @@ UNUSED = [
 ]
 
 
-def loaded_after(script: str) -> list[str]:
-    """The sorted names of sys.modules once script has run in a fresh
-    interpreter."""
+def modules_after(script: str) -> set[str]:
+    """The names in sys.modules once script has run in a fresh interpreter."""
     code = script + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     path = os.pathsep.join(filter(None, [str(SOURCE_ROOT), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -64,7 +63,13 @@ def loaded_after(script: str) -> list[str]:
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
+def loaded_after(script: str) -> set[str]:
+    """The modules script loads beyond those a bare interpreter loads
+    (some installations load `inspect` from a `.pth` file at start-up)."""
+    return modules_after(script) - modules_after("")
 
 
 def test_parsing_and_compiling_load_no_dataclasses_nor_analyses():
