@@ -6,13 +6,15 @@ Exit codes, shared by every subcommand:
   2  usage or parse errors
   3  the run ended in Failure (or a query had no result)
   4  fuel ran out
+
+Each command prints its results and returns its exit code. It imports
+the analyses it uses itself, so `run` and `query` start without them.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
-
-import click
 
 from .dsl import load_program, load_query_program
 from .errors import StratkitError
@@ -22,112 +24,49 @@ from .queries import NO_RESULT, check_query_kinds, get_monoid, MONOIDS
 from .terms import validate_term
 
 
-def _die(message: str, code: int) -> None:
-    click.echo(message, err=True)
-    sys.exit(code)
-
-
-class _Main(click.Group):
-    """The command group. Only the parser on nested forms recurses on the
-    Python stack; input too deep for it is a usage error (exit 2) on one
-    stderr line, not a traceback under the findings code. Each command
-    imports the analyses it uses itself, so `run` and `query` start without them."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except RecursionError:
-            _die(
-                "input nested too deeply: it exceeds the Python recursion "
-                f"limit of {sys.getrecursionlimit()} frames",
-                2,
-            )
-
-
-@click.group(cls=_Main)
-def main() -> None:
-    """Strategic term rewriting with static analyses."""
-
-
-@main.command()
-@click.argument("signature", type=click.Path(exists=True, dir_okay=False))
-@click.argument("program", type=click.Path(exists=True, dir_okay=False))
-@click.argument("term", type=click.Path(exists=True, dir_okay=False))
-@click.option("--fuel", default=DEFAULT_FUEL, show_default=True,
-              type=click.IntRange(min=1), help="Evaluation step budget.")
-def run(signature: str, program: str, term: str, fuel: int) -> None:
+def run(args) -> int:
     """Apply PROGRAM's main strategy to TERM."""
-    try:
-        prog = load_program(signature, program)
-        t = load_term(term)
-        validate_term(prog.signature, t)
-    except StratkitError as exc:
-        _die(str(exc), 2)
-    out = evaluate(prog.main, t, prog.signature, fuel=fuel)
+    prog = load_program(args.signature, args.program)
+    t = load_term(args.term)
+    validate_term(prog.signature, t)
+    out = evaluate(prog.main, t, prog.signature, fuel=args.fuel)
     if isinstance(out, Success):
-        click.echo(term_to_sexpr(out.term))
-        return
+        print(term_to_sexpr(out.term))
+        return 0
     if isinstance(out, Failure):
-        click.echo("FAIL")
-        sys.exit(3)
+        print("FAIL")
+        return 3
     assert isinstance(out, FuelExhausted)
-    click.echo(f"DIVERGENT? steps={out.steps}")
-    sys.exit(4)
+    print(f"DIVERGENT? steps={out.steps}")
+    return 4
 
 
-@main.command()
-@click.argument("signature", type=click.Path(exists=True, dir_okay=False))
-@click.argument("queryfile", type=click.Path(exists=True, dir_okay=False))
-@click.argument("term", type=click.Path(exists=True, dir_okay=False))
-@click.option("--monoid", "monoid_name", default="int-sum", show_default=True,
-              type=click.Choice(sorted(MONOIDS)), help="Result monoid.")
-def query(signature: str, queryfile: str, term: str, monoid_name: str) -> None:
+def query(args) -> int:
     """Run QUERYFILE's main query over TERM, combining with a monoid."""
     from .queries import run_query
 
-    try:
-        qprog = load_query_program(signature, queryfile)
-        t = load_term(term)
-        validate_term(qprog.signature, t)
-        monoid = get_monoid(monoid_name)
-        check_query_kinds(qprog.main, monoid)
-    except StratkitError as exc:
-        _die(str(exc), 2)
-    try:
-        # whole-term extractions are only kind-checked against the
-        # monoid once the extracted value exists
-        result = run_query(qprog.signature, qprog.main, t, monoid)
-    except StratkitError as exc:
-        _die(str(exc), 2)
+    qprog = load_query_program(args.signature, args.queryfile)
+    t = load_term(args.term)
+    validate_term(qprog.signature, t)
+    monoid = get_monoid(args.monoid)
+    check_query_kinds(qprog.main, monoid)
+    # whole-term extractions are only kind-checked against the monoid
+    # once the extracted value exists
+    result = run_query(qprog.signature, qprog.main, t, monoid)
     if result is NO_RESULT:
-        click.echo("NO-RESULT")
-        sys.exit(3)
+        print("NO-RESULT")
+        return 3
     if isinstance(result, list):
-        click.echo("[" + ", ".join(term_to_sexpr(x) for x in result) + "]")
+        print("[" + ", ".join(term_to_sexpr(x) for x in result) + "]")
     elif result is None:
-        click.echo("none")
+        print("none")
     else:
-        click.echo(str(result))
-
-
-@main.group()
-def analyze() -> None:
-    """Static analyses over a loaded program."""
-
-
-def _usage(fn, *args):
-    """fn(*args), with a StratkitError from it reported as a usage error."""
-    try:
-        return fn(*args)
-    except StratkitError as exc:
-        _die(str(exc), 2)
-        raise AssertionError  # unreachable
+        print(result)
+    return 0
 
 
 def _type_text(t) -> str:
-    if t is None:
-        return "untypable"
-    return "True" if t else "False"
+    return "untypable" if t is None else str(bool(t))
 
 
 def _definitions(prog) -> list:
@@ -138,145 +77,191 @@ def _definitions(prog) -> list:
 
 
 def _dead_choices(label: str, found: list) -> int:
-    """Echo each dead choice found in label's body; their number."""
+    """Print each dead choice found in label's body; their number."""
     for path, left in found:
-        click.echo(f"{label}: dead choice at {path}: left operand {left} cannot fail")
+        print(f"{label}: dead choice at {path}: left operand {left} cannot fail")
     return len(found)
 
 
-@analyze.command()
-@click.argument("signature", type=click.Path(exists=True, dir_okay=False))
-@click.argument("program", type=click.Path(exists=True, dir_okay=False))
-@click.option("--strict", is_flag=True,
-              help="Reject choices whose left operand cannot fail.")
-def fallibility(signature: str, program: str, strict: bool) -> None:
+def fallibility(args) -> int:
     """Success/failure behavior of each definition and of main."""
     from .fallibility import Sf, sf_analyse, sf_strict, sf_type_of
 
-    prog = _usage(load_program, signature, program)
+    prog = load_program(args.signature, args.program)
     findings = 0
     for label, body, params in _definitions(prog):
         value = sf_analyse(body, {p: Sf.ANY for p in params})
         ctx = {p: False for p in params}
-        verdict, found = sf_strict(body, ctx) if strict else (sf_type_of(body, ctx), [])
-        click.echo(f"{label}: sf={value} type={_type_text(verdict)}")
+        verdict, found = sf_strict(body, ctx) if args.strict else (sf_type_of(body, ctx), [])
+        print(f"{label}: sf={value} type={_type_text(verdict)}")
         findings += _dead_choices(label, found)
-    sys.exit(1 if findings else 0)
+    return 1 if findings else 0
 
 
-@analyze.command()
-@click.argument("signature", type=click.Path(exists=True, dir_okay=False))
-@click.argument("program", type=click.Path(exists=True, dir_okay=False))
-@click.option("--root", required=True, help="Sort of the run's root terms.")
-def reach(signature: str, program: str, root: str) -> None:
+def reach(args) -> int:
     """Which rules can fire, per root sort; dead cases from --root."""
-    from .reachability import OVER_REPORT_NOTE, dead_case_report, reach_analyse
+    from .reachability import OVER_REPORT_NOTE, reach_report
 
-    prog = _usage(load_program, signature, program)
-    rmap = _usage(reach_analyse, prog.signature, prog.main)
-    dead = _usage(dead_case_report, prog.signature, prog.main, root)
+    prog = load_program(args.signature, args.program)
+    rmap, dead = reach_report(prog.signature, prog.main, args.root)
     for sort in sorted(rmap):
         cases = ", ".join(sorted(rmap[sort]))
-        click.echo(f"{sort}: {{{cases}}}")
+        print(f"{sort}: {{{cases}}}")
     for _case, diagnostic in dead:
-        click.echo(diagnostic)
-    click.echo(OVER_REPORT_NOTE)
-    sys.exit(1 if dead else 0)
+        print(diagnostic)
+    print(OVER_REPORT_NOTE)
+    return 1 if dead else 0
 
 
-@analyze.command()
-@click.argument("signature", type=click.Path(exists=True, dir_okay=False))
-@click.argument("program", type=click.Path(exists=True, dir_okay=False))
-@click.option("--measure", "measure_spec", default="depth", show_default=True,
-              help='Measure components, e.g. "count:Lam,depth".')
-def termination(signature: str, program: str, measure_spec: str) -> None:
+def termination(args) -> int:
     """Prove (or fail to prove) termination under a measure."""
     from .termination import ANY, parse_measure, show_vec, term_type_of, verify_annotations
 
-    prog = _usage(load_program, signature, program)
-    m = _usage(parse_measure, measure_spec)
+    prog = load_program(args.signature, args.program)
+    m = parse_measure(args.measure)
     findings = 0
     unknown = ((ANY,) * len(m), False)
     for label, body, params in _definitions(prog):
         vec = term_type_of(body, m, {p: unknown for p in params})
         if vec is None:
             findings += 1
-        click.echo(f"{label}: {show_vec(vec)}")
+        print(f"{label}: {show_vec(vec)}")
     for diagnostic in verify_annotations(prog.rules.values(), m):
         findings += 1
-        click.echo(diagnostic)
-    sys.exit(1 if findings else 0)
+        print(diagnostic)
+    return 1 if findings else 0
 
 
-@main.command()
-@click.option("--seed", default=2026, show_default=True, type=int)
-@click.option("--cases", default=1000, show_default=True,
-              type=click.IntRange(min=1))
-def laws(seed: int, cases: int) -> None:
+def laws(args) -> int:
     """Check the algebraic laws against the interpreter."""
     from .laws import GenConfig, builtin_rules, builtin_signature, check_laws
     from .laws import check_scheme_properties, check_soundness, find_nonlaw_counterexamples
 
-    cfg = GenConfig(seed=seed, cases=cases)
+    cfg = GenConfig(seed=args.seed, cases=args.cases)
     sig = builtin_signature()
     rules = builtin_rules()
     failed = 0
     for result in check_laws(sig, rules, cfg):
-        click.echo(result.line())
+        print(result.line())
         if not result.passed:
             failed += 1
     for nonlaw in find_nonlaw_counterexamples(sig, rules, fuel=cfg.fuel):
-        click.echo(nonlaw.line())
+        print(nonlaw.line())
         if nonlaw.counterexample is None:
             failed += 1
     for prop in check_scheme_properties(sig, rules, cfg):
-        click.echo(prop.line())
+        print(prop.line())
         if not prop.passed:
             failed += 1
-    soundness = check_soundness(sig, rules, cfg, runs=max(10 * cases, 1000))
-    click.echo(soundness.line())
+    soundness = check_soundness(sig, rules, cfg, runs=max(10 * args.cases, 1000))
+    print(soundness.line())
     if soundness.failures:
         failed += 1
-    sys.exit(1 if failed else 0)
+    return 1 if failed else 0
 
 
-@main.command()
-@click.argument("signature", type=click.Path(exists=True, dir_okay=False))
-@click.argument("program", type=click.Path(exists=True, dir_okay=False))
-@click.option("--root", default=None, help="Root sort for the dead-case check.")
-@click.option("--measure", "measure_spec", default="depth", show_default=True)
-def lint(signature: str, program: str, root: str | None, measure_spec: str) -> None:
+def lint(args) -> int:
     """All load checks, lints, and analysis findings in one pass."""
     from .fallibility import scan_dead_choices
     from .reachability import dead_case_report
     from .termination import ANY, parse_measure, term_type_of, verify_annotations
 
-    prog = _usage(load_program, signature, program)
+    prog = load_program(args.signature, args.program)
+    # a bad --root or --measure is reported before any finding is printed
+    dead = [] if args.root is None else dead_case_report(prog.signature, prog.main, args.root)
+    m = parse_measure(args.measure)
     findings = 0
     for line in prog.lints:
         findings += 1
-        click.echo(f"lint: {line}")
+        print(f"lint: {line}")
     items = _definitions(prog)
     for label, body, params in items:
         findings += _dead_choices(label, scan_dead_choices(body, {p: False for p in params}))
-    if root is not None:
-        dead = _usage(dead_case_report, prog.signature, prog.main, root)
-        for _case, diagnostic in dead:
-            findings += 1
-            click.echo(diagnostic)
-    m = _usage(parse_measure, measure_spec)
+    for _case, diagnostic in dead:
+        findings += 1
+        print(diagnostic)
     unknown = ((ANY,) * len(m), False)
     for label, body, params in items:
         if term_type_of(body, m, {p: unknown for p in params}) is None:
             findings += 1
-            click.echo(f"{label}: termination NOT PROVEN under {measure_spec}")
+            print(f"{label}: termination NOT PROVEN under {args.measure}")
     for diagnostic in verify_annotations(prog.rules.values(), m):
         findings += 1
-        click.echo(diagnostic)
+        print(diagnostic)
     if not findings:
-        click.echo("clean")
-    sys.exit(1 if findings else 0)
+        print("clean")
+    return 1 if findings else 0
+
+
+def positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as "invalid positive_int value"
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _parser() -> argparse.ArgumentParser:
+    def new(make, name: str, doc: str, **kw) -> argparse.ArgumentParser:
+        # --help only, as before: -h would be a new flag
+        p = make(name, description=doc, allow_abbrev=False, add_help=False, **kw)
+        p.add_argument("--help", action="help", help="Show this message and exit.")
+        return p
+
+    def command(group, fn, *files: str) -> argparse.ArgumentParser:
+        p = new(group.add_parser, fn.__name__, fn.__doc__, help=fn.__doc__)
+        p.set_defaults(command=fn)
+        for name in files:
+            p.add_argument(name, metavar=name.upper())
+        return p
+
+    parser = new(argparse.ArgumentParser, "stratkit",
+                 "Strategic term rewriting with static analyses.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    p = command(commands, run, "signature", "program", "term")
+    p.add_argument("--fuel", type=positive_int, default=DEFAULT_FUEL,
+                   help="Evaluation step budget (default: %(default)s).")
+    p = command(commands, query, "signature", "queryfile", "term")
+    p.add_argument("--monoid", default="int-sum", choices=sorted(MONOIDS),
+                   help="Result monoid (default: %(default)s).")
+
+    doc = "Static analyses over a loaded program."
+    analyze = new(commands.add_parser, "analyze", doc, help=doc).add_subparsers(
+        title="analyses", metavar="ANALYSIS", required=True)
+    p = command(analyze, fallibility, "signature", "program")
+    p.add_argument("--strict", action="store_true",
+                   help="Reject choices whose left operand cannot fail.")
+    p = command(analyze, reach, "signature", "program")
+    p.add_argument("--root", required=True, help="Sort of the run's root terms.")
+    p = command(analyze, termination, "signature", "program")
+    p.add_argument("--measure", default="depth",
+                   help='Measure components, e.g. "count:Lam,depth" (default: %(default)s).')
+
+    p = command(commands, laws)
+    p.add_argument("--seed", type=int, default=2026, help="(default: %(default)s)")
+    p.add_argument("--cases", type=positive_int, default=1000, help="(default: %(default)s)")
+    p = command(commands, lint, "signature", "program")
+    p.add_argument("--root", help="Root sort for the dead-case check.")
+    p.add_argument("--measure", default="depth", help="(default: %(default)s)")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command in argv (default: the process's arguments) and
+    return its exit code. A usage error exits 2 from inside argparse;
+    every other error is one stderr line and exit 2."""
+    args = _parser().parse_args(argv)
+    try:
+        return args.command(args)
+    except StratkitError as exc:
+        message = str(exc)
+    except RecursionError:
+        # strategies are walked on an explicit stack; only the parser on
+        # nested forms recurses on the Python stack
+        message = ("input nested too deeply: it exceeds the Python recursion "
+                   f"limit of {sys.getrecursionlimit()} frames")
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

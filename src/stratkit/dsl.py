@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from typing import Callable, NamedTuple, Optional
 
 from .errors import LoadError, ParseError, StratkitError
-from .files import _ESCAPE, _unescape, load_signature
+from .files import _ESCAPE, _unescape, load_signature, read_text
 from .queries import (
     UNIT,
     AdhocQ,
@@ -753,9 +753,7 @@ def parse_program(
 
 def load_program(sig_path: str, prog_path: str) -> Program:
     sig = load_signature(sig_path)
-    with open(prog_path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_program(text, sig, origin=prog_path)
+    return parse_program(read_text(prog_path), sig, origin=prog_path)
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +798,4 @@ def parse_query_program(
 
 def load_query_program(sig_path: str, query_path: str) -> QueryProgram:
     sig = load_signature(sig_path)
-    with open(query_path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_query_program(text, sig, origin=query_path)
+    return parse_query_program(read_text(query_path), sig, origin=query_path)

@@ -101,9 +101,21 @@ def parse_signature(text: str, origin: Optional[str] = None) -> Signature:
         raise ParseError(str(e), origin=origin) from None
 
 
+def read_text(path: str) -> str:
+    """The file at path as UTF-8 text. A file that cannot be opened or
+    decoded is a ParseError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        message = f"not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}"
+    except OSError as e:
+        message = f"cannot read: {e.strerror or e}"
+    raise ParseError(message, origin=path)
+
+
 def load_signature(path: str) -> Signature:
-    with open(path, encoding="utf-8") as fh:
-        return parse_signature(fh.read(), origin=path)
+    return parse_signature(read_text(path), origin=path)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +266,7 @@ def _fail(
 
 
 def load_term(path: str) -> Term:
-    with open(path, encoding="utf-8") as fh:
-        return parse_term(fh.read(), origin=path)
+    return parse_term(read_text(path), origin=path)
 
 
 def _format_lit(t: Lit) -> str:

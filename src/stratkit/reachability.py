@@ -121,12 +121,14 @@ def dead_case_report(
 ) -> list[tuple[str, str]]:
     """Cases mentioned in main that cannot fire below a root of the
     given sort, each with a one-line diagnostic."""
+    return reach_report(sig, main, root)[1]
+
+
+def reach_report(sig: Signature, main: Strategy, root: Sort) -> tuple[ReachMap, list]:
+    """main's reachability map and dead_case_report from it. An unknown
+    root is reported before the analysis runs."""
     if root not in sig.sorts:
         raise SignatureError(f"unknown root sort {root!r}")
-    reachable = reach_analyse(sig, main)[root]
-    out = []
-    for name in sorted(mentioned_cases(main) - reachable):
-        out.append(
-            (name, f"case {name!r} is unreachable from root sort {root!r}")
-        )
-    return out
+    rmap = reach_analyse(sig, main)
+    dead = mentioned_cases(main) - rmap[root]
+    return rmap, [(n, f"case {n!r} is unreachable from root sort {root!r}") for n in sorted(dead)]

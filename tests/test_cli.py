@@ -5,14 +5,16 @@ invocation here; the exit-code contract (0 ok, 1 findings, 2 usage,
 3 failure/no-result, 4 fuel) gets a dedicated test per code.
 """
 
+import io
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 import stratkit
 from stratkit.cli import main
@@ -149,8 +151,25 @@ def _resolve(fixtures_dir, argv):
     ]
 
 
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def call_main(argv):
+    """main(argv) in this process; argparse raises SystemExit on a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue(), err.getvalue())
+
+
 def invoke(fixtures_dir, argv):
-    return CliRunner().invoke(main, _resolve(fixtures_dir, argv))
+    return call_main(_resolve(fixtures_dir, argv))
 
 
 def _child_env():
@@ -176,6 +195,36 @@ def test_golden(fixtures_dir, golden):
     expected = (fixtures_dir / "golden" / golden).read_text()
     assert proc.stdout == expected
     assert proc.returncode == code
+
+
+@pytest.mark.parametrize(
+    "golden",
+    [
+        "run_stop_increment_tree1.out",
+        "query_total_salaries_c0.out",
+        "fallibility_strict_lint_bait.out",
+        "reach_stop_increment_booltree.out",
+        "termination_diverge.out",
+        "lint_bait.out",
+    ],
+)
+def test_golden_with_the_standard_library_alone(fixtures_dir, tmp_path, golden):
+    # a copy of the package, run without `site` and without PYTHONPATH:
+    # no site-packages directory is on the path, so a command that
+    # imported a third-party module would fail here
+    shutil.copytree(SOURCE_ROOT / "stratkit", tmp_path / "stratkit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code, argv = GOLDENS[golden]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "stratkit", *_resolve(fixtures_dir, argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
+    )
+    expected = (fixtures_dir / "golden" / golden).read_text()
+    assert (proc.returncode, proc.stdout) == (code, expected), proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +254,66 @@ def test_missing_file_is_a_usage_error(fixtures_dir):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["analyze"],
+        ["analyze", "reach", "nat_tree.sig", "programs/stop_increment.strat"],
+        ["laws", "--cases", "0"],
+        ["query", "company.sig", "queries/total_salaries.query", "terms/c0.term",
+         "--monoid", "mean"],
+        # an option's prefix is not the option
+        ["run", "nat_tree.sig", "programs/stop_increment.strat", "terms/tree1.term",
+         "--fu", "5"],
+    ],
+    ids=["no-command", "no-analysis", "no-root", "no-cases", "unknown-monoid",
+         "option-prefix"],
+)
+def test_usage_errors_print_the_usage_line(fixtures_dir, argv):
+    result = invoke(fixtures_dir, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: stratkit")
+
+
+RUN_ARGV = ["run", "nat_tree.sig", "programs/stop_increment.strat", "terms/tree1.term"]
+QUERY_ARGV = ["query", "company.sig", "queries/total_salaries.query", "terms/c0.term",
+              "--monoid", "float-sum"]
+
+
+@pytest.mark.parametrize(
+    "argv, at",
+    [(RUN_ARGV, 1), (RUN_ARGV, 2), (RUN_ARGV, 3), (QUERY_ARGV, 2)],
+    ids=["signature", "program", "term", "query"],
+)
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        # was a UnicodeDecodeError traceback and exit 1
+        ("not UTF-8", "not UTF-8: byte 0xff at offset 0"),
+        ("missing", "cannot read: No such file or directory"),
+        ("a directory", "cannot read: Is a directory"),
+    ],
+    ids=["not-utf8", "missing", "directory"],
+)
+def test_a_file_that_cannot_be_read_is_named(
+    fixtures_dir, tmp_path, argv, at, problem, message
+):
+    argv = _resolve(fixtures_dir, argv)
+    path = tmp_path / "input"
+    if problem == "not UTF-8":
+        path.write_bytes(b"\xff" + Path(argv[at]).read_bytes())
+    elif problem == "a directory":
+        path.mkdir()
+    argv[at] = str(path)
+    result = call_main(argv)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"{path}: {message}\n"
+
+
 def _run_on_term_file(fixtures_dir, path):
-    return CliRunner().invoke(
-        main,
+    return call_main(
         [
             "run",
             str(fixtures_dir / "nat_tree.sig"),
@@ -236,8 +342,7 @@ def test_a_term_file_without_a_term_is_named(fixtures_dir, tmp_path):
 def test_ill_sorted_term_is_rejected_before_running(fixtures_dir, tmp_path):
     bad = tmp_path / "bad.term"
     bad.write_text("(Succ (True))\n")
-    result = CliRunner().invoke(
-        main,
+    result = call_main(
         [
             "run",
             str(fixtures_dir / "nat_tree.sig"),
@@ -254,8 +359,7 @@ def test_nan_literal_in_a_term_file(fixtures_dir, tmp_path):
         '(Company (Cons_Department (Department "R":Name (Manager (Employee '
         '"m":Name nan:Salary)) (Nil_Unit)) (Nil_Department)))\n'
     )
-    result = CliRunner().invoke(
-        main,
+    result = call_main(
         [
             "query",
             str(fixtures_dir / "company.sig"),
@@ -292,7 +396,7 @@ def test_program_parse_errors_name_the_file(
     argv = [*command, str(fixtures_dir / sig), str(prog)]
     if command != ["lint"]:
         argv.append(str(fixtures_dir / "terms" / term))
-    result = CliRunner().invoke(main, argv)
+    result = call_main(argv)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"{prog}:{message}\n"
@@ -304,7 +408,7 @@ def test_signature_parse_errors_name_the_file_then_line_and_column(
     bad = tmp_path / "bad.sig"
     bad.write_text("# nats\n  sort Nat Nat\n", encoding="utf-8")
     argv = ["lint", str(bad), str(fixtures_dir / "programs" / "stop_increment.strat")]
-    result = CliRunner().invoke(main, argv)
+    result = call_main(argv)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"{bad}:2:3: bad sort declaration 'sort Nat Nat'\n"
@@ -529,6 +633,41 @@ def test_unknown_reach_root(fixtures_dir):
     assert "unknown root sort" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--measure", "size"], "unknown measure component 'size'"),
+        (["--root", "Ghost"], "unknown root sort 'Ghost'"),
+    ],
+)
+def test_lint_checks_its_options_before_printing_findings(fixtures_dir, option, message):
+    result = invoke(fixtures_dir, ["lint", "nat_tree.sig", "programs/lint_bait.strat", *option])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"{message}\n")
+
+
+@pytest.mark.parametrize("command", [["analyze", "reach"], ["lint"]])
+@pytest.mark.parametrize("root, code, runs", [("BoolTree", 1, 1), ("Ghost", 2, 0)])
+def test_reachability_runs_once_and_not_for_an_unknown_root(
+    fixtures_dir, monkeypatch, command, root, code, runs
+):
+    from stratkit import reachability
+
+    calls = []
+    analyse = reachability.reach_analyse
+
+    def counted(*args):
+        calls.append(args)
+        return analyse(*args)
+
+    monkeypatch.setattr(reachability, "reach_analyse", counted)
+    result = invoke(
+        fixtures_dir,
+        [*command, "nat_tree.sig", "programs/stop_increment.strat", "--root", root],
+    )
+    assert result.exit_code == code  # a dead case from BoolTree
+    assert len(calls) == runs
+
+
 # ---------------------------------------------------------------------------
 # Remaining surfaces
 
@@ -538,13 +677,13 @@ def test_lint_clean_program(fixtures_dir):
         fixtures_dir, ["lint", "nat_tree.sig", "programs/stop_increment.strat"]
     )
     assert result.exit_code == 0
-    assert result.output == "clean\n"
+    assert result.stdout == "clean\n"
 
 
 def test_laws_command_reports_every_check():
-    result = CliRunner().invoke(main, ["laws", "--cases", "25", "--seed", "7"])
-    assert result.exit_code == 0, result.output
-    lines = result.output.splitlines()
+    result = call_main(["laws", "--cases", "25", "--seed", "7"])
+    assert result.exit_code == 0, result.stdout
+    lines = result.stdout.splitlines()
     assert len(lines) == 28  # 17 laws + 3 non-laws + 7 properties + soundness
     assert sum(1 for x in lines if x.startswith("LAW ")) == 17
     assert sum(1 for x in lines if x.startswith("NONLAW ")) == 3
@@ -566,7 +705,7 @@ def test_termination_command_with_compound_measure(fixtures_dir):
         ],
     )
     assert result.exit_code == 0
-    assert result.output == "main: [Any,Any]\n"
+    assert result.stdout == "main: [Any,Any]\n"
 
 
 def _assert_help(proc):
