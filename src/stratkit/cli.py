@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .dsl import load_program, load_query_program
-from .errors import StratkitError
+from .errors import SignatureError, StratkitError
 from .files import load_term, term_to_sexpr
 from .interp import DEFAULT_FUEL, Failure, FuelExhausted, Success, evaluate
 from .queries import NO_RESULT, check_query_kinds, get_monoid, MONOIDS
@@ -83,16 +83,28 @@ def _dead_choices(label: str, found: list) -> int:
     return len(found)
 
 
+def _measure(text: str, sig):
+    """The --measure option; each constructor it counts is declared in sig."""
+    from .termination import parse_measure
+
+    m = parse_measure(text)
+    for c in m.components[:-1]:
+        if c.constr not in sig.by_constr:
+            raise SignatureError(f"measure {text!r} counts an unknown constructor {c.constr!r}")
+    return m
+
+
 def fallibility(args) -> int:
     """Success/failure behavior of each definition and of main."""
-    from .fallibility import Sf, sf_analyse, sf_strict, sf_type_of
+    from .fallibility import Sf, scan_dead_choices, sf_analyse, sf_type_of
 
     prog = load_program(args.signature, args.program)
     findings = 0
     for label, body, params in _definitions(prog):
         value = sf_analyse(body, {p: Sf.ANY for p in params})
         ctx = {p: False for p in params}
-        verdict, found = sf_strict(body, ctx) if args.strict else (sf_type_of(body, ctx), [])
+        verdict = sf_type_of(body, ctx, strict=args.strict)
+        found = scan_dead_choices(body, ctx) if args.strict else []
         print(f"{label}: sf={value} type={_type_text(verdict)}")
         findings += _dead_choices(label, found)
     return 1 if findings else 0
@@ -115,10 +127,10 @@ def reach(args) -> int:
 
 def termination(args) -> int:
     """Prove (or fail to prove) termination under a measure."""
-    from .termination import ANY, parse_measure, show_vec, term_type_of, verify_annotations
+    from .termination import ANY, show_vec, term_type_of, verify_annotations
 
     prog = load_program(args.signature, args.program)
-    m = parse_measure(args.measure)
+    m = _measure(args.measure, prog.signature)
     findings = 0
     unknown = ((ANY,) * len(m), False)
     for label, body, params in _definitions(prog):
@@ -164,12 +176,12 @@ def lint(args) -> int:
     """All load checks, lints, and analysis findings in one pass."""
     from .fallibility import scan_dead_choices
     from .reachability import dead_case_report
-    from .termination import ANY, parse_measure, term_type_of, verify_annotations
+    from .termination import ANY, term_type_of, verify_annotations
 
     prog = load_program(args.signature, args.program)
     # a bad --root or --measure is reported before any finding is printed
     dead = [] if args.root is None else dead_case_report(prog.signature, prog.main, args.root)
-    m = parse_measure(args.measure)
+    m = _measure(args.measure, prog.signature)
     findings = 0
     for line in prog.lints:
         findings += 1

@@ -41,7 +41,8 @@ from __future__ import annotations
 import re
 import warnings
 from contextlib import contextmanager
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
 from .errors import LoadError, ParseError, StratkitError
 from .files import _ESCAPE, _unescape, load_signature, read_text
@@ -133,10 +134,11 @@ _TOKENS = {False: _token_regex(r"<\+"), True: _token_regex(r"<\+(?:q(?!\w))?")}
 KEYWORDS = frozenset({"rule", "qrule", "def", "main", "rec", "where"})
 
 
-class Token(NamedTuple):
-    kind: str  # ident | int | float | string | sym | eof
-    value: object
-    at: int  # offset of the token's first character in the text
+class Token(namedtuple("Token", "kind value at")):
+    """kind is ident, int, float, string, sym or eof; at is the offset of
+    the token's first character in the text."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.kind == "eof":
@@ -158,7 +160,7 @@ class _Error(Exception):
 
 
 @contextmanager
-def _positions(text: str, origin: Optional[str] = None):
+def _positions(text: str, origin: str | None = None):
     try:
         yield
     except _Error as exc:
@@ -292,12 +294,11 @@ RESERVED = KEYWORDS | frozenset(_STRATEGY_FORMS)
 QUERY_RESERVED = KEYWORDS | frozenset(_QUERY_FORMS) | {"unit"}
 
 
-class _Language(NamedTuple):
-    what: str  # the noun in "expected a ..., found ..."
-    infix: dict  # symbol -> (precedence, builder); all associate left
-    binder: Optional[str]  # the prefix that binds a recursion variable
-    forms: dict
-    keywords: frozenset  # names rejected where an operand is expected
+#: what: the noun in "expected a ..., found ..."; infix: symbol ->
+#: (precedence, builder), all associating left; binder: the prefix that
+#: binds a recursion variable, or None; forms; keywords: names rejected
+#: where an operand is expected
+_Language = namedtuple("_Language", "what infix binder forms keywords")
 
 
 _STRATEGY = _Language(
@@ -698,7 +699,7 @@ def _param_linearity_lints(d: Def, lints: list[str]) -> None:
 
 
 def parse_program(
-    text: str, sig: Signature, origin: Optional[str] = None
+    text: str, sig: Signature, origin: str | None = None
 ) -> Program:
     """The program in text; its expansions number their recursion
     binders from $1, as in a fresh process. A ParseError names origin,
@@ -731,7 +732,7 @@ def parse_program(
         for rule in p.rules.values():
             _check_rule_patterns(sig, rule.name, rule.sort, rule.lhs, rule.rhs, diags)
 
-        main: Optional[Strategy] = None
+        main: Strategy | None = None
         for decl in deferred:
             if main is not None:
                 raise _Error("main must be the last declaration", decl[0].at)
@@ -761,13 +762,13 @@ def load_program(sig_path: str, prog_path: str) -> Program:
 
 
 def parse_query_program(
-    text: str, sig: Signature, origin: Optional[str] = None
+    text: str, sig: Signature, origin: str | None = None
 ) -> QueryProgram:
     """The query program in text. A ParseError names origin, when it is
     given, before its line and column."""
     p = _Parser(_QUERY)
     diags: list[str] = []
-    main: Optional[QueryExpr] = None
+    main: QueryExpr | None = None
     with _positions(text, origin):
         for decl in _declarations(_scan(text, True), ("qrule", "main")):
             kind = p.start(decl)

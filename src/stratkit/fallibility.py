@@ -8,6 +8,11 @@ Two views of the same question, "can this strategy fail":
   mode that refuses a choice whose left operand is infallible, since
   the right operand can then never run.
 
+A typing walk runs in one mode. The dead-choice scan is the lenient
+walk's by-product, so the strict verdict and the scan are two walks: the
+verdict is not read off the scan (`rec x. (x <+ fail)` types True
+leniently, False strictly, and has one dead choice).
+
 Rules enter the abstract domain as leaves: an annotated-infallible rule
 whose left side is a bare variable without a guard really cannot fail
 on its own sort, everything else can (pattern, guard, or sort mismatch).
@@ -18,7 +23,6 @@ own conservative merge: infallible only when both branches are.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from .errors import EngineError
 from .strategies import (
@@ -113,7 +117,7 @@ def rule_infallible(rule: Rule) -> bool:
     )
 
 
-def sf_analyse(s: Strategy, env: Optional[dict[str, Sf]] = None) -> Sf:
+def sf_analyse(s: Strategy, env: dict[str, Sf] | None = None) -> Sf:
     return walk(_sf_analyse, s, env or {})
 
 
@@ -155,19 +159,22 @@ def _sf_analyse(s: Strategy, env: dict[str, Sf]):
 
 def sf_type_of(
     s: Strategy,
-    ctx: Optional[dict[str, bool]] = None,
+    ctx: dict[str, bool] | None = None,
     strict: bool = False,
-) -> Optional[bool]:
+) -> bool | None:
     """True = infallible, False = possibly failing, None = untypable.
 
     In strict mode a choice with a True-typed left operand is untypable:
     its right operand is dead code.
     """
-    return _raised(_typing(s, ctx, [])[strict])
+    typed = walk(_sf_type_of, s, ctx or {}, strict, None, [])
+    if isinstance(typed, EngineError):
+        raise typed
+    return typed
 
 
 def scan_dead_choices(
-    s: Strategy, ctx: Optional[dict[str, bool]] = None
+    s: Strategy, ctx: dict[str, bool] | None = None
 ) -> list[tuple[str, str]]:
     """All choices whose left operand types as infallible, as
     (path, rendered left operand) pairs. Paths are slash-joined field
@@ -175,28 +182,7 @@ def scan_dead_choices(
     only needs the left operand's own type.
     """
     slots: list = []
-    _typing(s, ctx, slots)
-    return _findings(slots)
-
-
-def sf_strict(s: Strategy, ctx: Optional[dict[str, bool]] = None) -> tuple:
-    """sf_type_of(s, ctx, strict=True) and scan_dead_choices(s, ctx), or
-    what the first of them raises, from one typing walk."""
-    slots: list = []
-    return _raised(_typing(s, ctx, slots)[True]), _findings(slots)
-
-
-def _typing(s: Strategy, ctx: Optional[dict[str, bool]], slots: list) -> tuple:
-    return walk(_sf_type_of, s, {n: (t, t) for n, t in (ctx or {}).items()}, None, slots)
-
-
-def _raised(typed):
-    if isinstance(typed, EngineError):
-        raise typed
-    return typed
-
-
-def _findings(slots: list) -> list[tuple[str, str]]:
+    walk(_sf_type_of, s, ctx or {}, False, None, slots)
     found: list[tuple[str, str]] = []
     for slot in slots:
         if isinstance(slot, EngineError):
@@ -211,84 +197,69 @@ def _findings(slots: list) -> list[tuple[str, str]]:
     return found
 
 
-def _sf_type_of(s: Strategy, ctx: dict[str, tuple], path: Optional[tuple], slots: list):
-    """The pair (type, strict type) of s under ctx, which binds pairs;
-    each is the EngineError typing raises, as a value. Every child is
-    typed, so one walk also scans for dead choices.
+def _sf_type_of(
+    s: Strategy, ctx: dict[str, bool], strict: bool, path: tuple | None, slots: list
+):
+    """The type of s, or the EngineError typing it raises, as a value:
+    every child is typed, so one walk also scans for dead choices.
 
     Each choice and rec takes a slot where a pre-order scan would type
     it: (path, left operand) if the left operand types True, the error
     typing raised, or None. path links (field, parent's path) back to
-    the root, None. A rec keeps its body's slots under the assumption
-    its type settles on, fallible if none holds; each mode settles alone.
+    the root, None. A rec keeps the slots of its body under the
+    assumption it settles on, fallible if none holds.
     """
     if isinstance(s, Choice):
         at = len(slots)
         slots.append(None)
-        a = yield s.left, ctx, ("left", path), slots
-        if a[0] is True:
+        a = yield s.left, ctx, strict, ("left", path), slots
+        if a is True:
             slots[at] = (path, s.left)
-        elif isinstance(a[0], EngineError):
-            slots[at] = a[0]
-        b = yield s.right, ctx, ("right", path), slots
-        return _choice(a[0], b[0], False), _choice(a[1], b[1], True)
+        elif isinstance(a, EngineError):
+            slots[at] = a
+        b = yield s.right, ctx, strict, ("right", path), slots
+        if a is None or isinstance(a, EngineError):
+            return a
+        if strict and a is True:
+            return None
+        if b is None or isinstance(b, EngineError):
+            return b
+        return a or b
     if isinstance(s, Seq):
-        a = yield s.left, ctx, ("left", path), slots
-        b = yield s.right, ctx, ("right", path), slots
-        return _seq(a[0], b[0]), _seq(a[1], b[1])
+        a = yield s.left, ctx, strict, ("left", path), slots
+        b = yield s.right, ctx, strict, ("right", path), slots
+        for x in (a, b):
+            if isinstance(x, EngineError):
+                return x
+        return None if a is None or b is None else a and b
     if isinstance(s, Rec):
         at = len(slots)
         slots.append(None)
-        down = ("body", path)
-        got = yield s.body, {**ctx, s.name: (True, True)}, down, slots
-        # per mode: whether the body settles on the True assumption
-        kept = tuple(g is True or isinstance(g, EngineError) for g in got)
-        if kept != (True, True):
+        for assumption in (True, False):
             del slots[at + 1 :]
-            again = yield s.body, {**ctx, s.name: kept}, down, slots
-            # an unkept mode settles on False, or on nothing if True holds
-            got = tuple(g if k else None if h is True else h for g, h, k in zip(got, again, kept))
-        if isinstance(got[0], EngineError):
-            slots[at] = got[0]
+            got = yield s.body, {**ctx, s.name: assumption}, strict, ("body", path), slots
+            if got is assumption or isinstance(got, EngineError):
+                break
+        else:
+            got = None
+        if isinstance(got, EngineError):
+            slots[at] = got
         return got
     if isinstance(s, (All, One, Adhoc)):
         field = "default" if isinstance(s, Adhoc) else "body"
-        a = yield getattr(s, field), ctx, (field, path), slots
-        return _unary(s, a[0]), _unary(s, a[1])
+        a = yield getattr(s, field), ctx, strict, (field, path), slots
+        if a is None or isinstance(a, EngineError) or isinstance(s, All):
+            return a
+        return False if isinstance(s, One) else a and rule_infallible(s.rule)
     if isinstance(s, Id):
-        return True, True
+        return True
     if isinstance(s, Fail):
-        return False, False
+        return False
     if isinstance(s, RuleRef):
-        r = rule_infallible(s.rule)
-        return r, r
+        return rule_infallible(s.rule)
     if isinstance(s, Var):
         try:
             return lookup(ctx, s.name)
         except EngineError as exc:
-            return exc, exc
-    exc = EngineError(f"cannot type {s!r}")
-    return exc, exc
-
-
-def _seq(a, b):
-    for x in (a, b):
-        if isinstance(x, EngineError):
-            return x
-    return None if a is None or b is None else a and b
-
-
-def _choice(a, b, strict: bool):
-    if a is None or isinstance(a, EngineError):
-        return a
-    if strict and a is True:
-        return None
-    if b is None or isinstance(b, EngineError):
-        return b
-    return a or b
-
-
-def _unary(s: Strategy, a):
-    if a is None or isinstance(a, EngineError) or isinstance(s, All):
-        return a
-    return False if isinstance(s, One) else a and rule_infallible(s.rule)
+            return exc
+    return EngineError(f"cannot type {s!r}")

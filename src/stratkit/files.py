@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import NoReturn, Optional
 
 from .errors import ParseError, SignatureError
 from .terms import Lit, Node, Signature, Symbol, Term
@@ -35,7 +34,7 @@ def list_sort(elem: str) -> str:
     return f"[{elem}]"
 
 
-def parse_signature(text: str, origin: Optional[str] = None) -> Signature:
+def parse_signature(text: str, origin: str | None = None) -> Signature:
     """The signature in text; a declaration's error reads `[origin:]line:col: …`."""
     sorts: list[str] = []
     prims: dict[str, str] = {}
@@ -146,7 +145,7 @@ def _unescape(m: re.Match) -> str:
     return "\n" if c == "n" else "\t" if c == "t" else c
 
 
-def parse_term(text: str, origin: Optional[str] = None) -> Term:
+def parse_term(text: str, origin: str | None = None) -> Term:
     """Read exactly one term; trailing input is an error, which reads
     `[origin:]line:col: …` (`[origin: ]…` for input without a term).
 
@@ -159,7 +158,7 @@ def parse_term(text: str, origin: Optional[str] = None) -> Term:
     kids = top  # children of the innermost open application
     stack: list[tuple[str, list[Term], int]] = []  # (constr, kids, '(' index)
     opened = -1  # index of a '(' still waiting for its constructor
-    string: Optional[str] = None  # a string literal waiting for its :Sort tag
+    string: str | None = None  # a string literal waiting for its :Sort tag
     string_at = 0
     for k, tok in enumerate(tokens):
         c = tok[0]
@@ -237,9 +236,7 @@ def parse_term(text: str, origin: Optional[str] = None) -> Term:
     return top[0]
 
 
-def _fail(
-    text: str, tokens: list[str], origin: Optional[str], message: str, k: int
-) -> NoReturn:
+def _fail(text: str, tokens: list[str], origin: str | None, message: str, k: int):
     """Raise the error for input whose first problem in reading order is
     `message` at token k. A string literal's own errors come first,
     wherever they are: an unterminated string, then a string without its

@@ -15,7 +15,6 @@ reference is a plain jump and the machine needs no environment.
 from __future__ import annotations
 
 import gc
-from typing import Optional
 
 from .errors import EngineError
 from .records import record
@@ -87,16 +86,16 @@ class _Cell:
 # terms.compile_rewrite.
 
 
-def compile_rule(rule: Rule, sig: Signature, check_sort: bool = True):
-    """Applier for a rule; with check_sort the applier rejects terms of
-    other sorts itself, otherwise the caller guarantees the sort."""
+def compile_rule(rule: Rule):
+    """Applier for a rule. It does not check the term's sort: the machine
+    dispatches on sort before it calls one."""
     if isinstance(rule, RuleDef):
         guard = GUARDS[rule.guard] if rule.guard is not None else None
-        base = compile_rewrite(rule.lhs, rule.rhs, guard)
-    elif isinstance(rule, RuleChoice):
-        fns = tuple(compile_rule(m, sig, False) for m in rule.members)
+        return compile_rewrite(rule.lhs, rule.rhs, guard)
+    fns = tuple(compile_rule(m) for m in rule.members)
+    if isinstance(rule, RuleChoice):
 
-        def base(t, _fns=fns):
+        def applier(t, _fns=fns):
             for f in _fns:
                 out = f(t)
                 if out is not None:
@@ -104,62 +103,50 @@ def compile_rule(rule: Rule, sig: Signature, check_sort: bool = True):
             return None
 
     else:
-        fns = tuple(compile_rule(m, sig, False) for m in rule.members)
 
-        def base(t, _fns=fns):
+        def applier(t, _fns=fns):
             for f in _fns:
                 t = f(t)
                 if t is None:
                     return None
             return t
 
-    if not check_sort:
-        return base
-    sort = rule.sort
-    constr_sort = sig.constr_sort
-
-    def checked(t):
-        ts = t.sort if type(t) is Lit else constr_sort.get(t.constr)
-        if ts != sort:
-            return None
-        return base(t)
-
-    return checked
+    return applier
 
 
 # ---------------------------------------------------------------------------
 # Strategy compilation
 
 
-def _compile(s: Strategy, sig: Signature, env: dict[str, _Cell]):
+def _compile(s: Strategy, env: dict[str, _Cell]):
     if isinstance(s, Id):
         return (OP_ID,)
     if isinstance(s, Fail):
         return (OP_FAIL,)
     if isinstance(s, Seq):
-        return (OP_SEQ, (yield s.left, sig, env), (yield s.right, sig, env))
+        return (OP_SEQ, (yield s.left, env), (yield s.right, env))
     if isinstance(s, Choice):
-        return (OP_CHOICE, (yield s.left, sig, env), (yield s.right, sig, env))
+        return (OP_CHOICE, (yield s.left, env), (yield s.right, env))
     if isinstance(s, All):
-        return (OP_ALL, (yield s.body, sig, env))
+        return (OP_ALL, (yield s.body, env))
     if isinstance(s, One):
-        return (OP_ONE, (yield s.body, sig, env))
+        return (OP_ONE, (yield s.body, env))
     if isinstance(s, Var):
         return (OP_VAR, lookup(env, s.name))
     if isinstance(s, Rec):
         cell = _Cell()
         inner = dict(env)
         inner[s.name] = cell
-        cell.code = yield s.body, sig, inner
+        cell.code = yield s.body, inner
         return cell.code
     if isinstance(s, RuleRef):
-        return (OP_RULE, compile_rule(s.rule, sig, True), rule_names(s.rule))
+        return (OP_RULE, compile_rule(s.rule), rule_names(s.rule), s.rule.sort)
     if isinstance(s, Adhoc):
         return (
             OP_ADHOC,
-            (yield s.default, sig, env),
+            (yield s.default, env),
             s.rule.sort,
-            compile_rule(s.rule, sig, False),
+            compile_rule(s.rule),
             rule_names(s.rule),
         )
     raise EngineError(f"cannot compile {s!r}")
@@ -172,13 +159,13 @@ class CompiledStrategy:
         self.strategy = strategy
         self.sig = sig
         self._constr_sort = sig.constr_sort
-        self._code = walk(_compile, strategy, sig, {})
+        self._code = walk(_compile, strategy, {})
 
     def run(
         self,
         term: Term,
         fuel: int = DEFAULT_FUEL,
-        trace: Optional[set] = None,
+        trace: set | None = None,
     ) -> Outcome:
         """trace, when given, collects the names of rules that fired."""
         # The machine allocates frames and rebuilt nodes but no reference
@@ -188,6 +175,10 @@ class CompiledStrategy:
         gc.disable()
         try:
             out = _execute(self._code, term, fuel, self._constr_sort, trace)
+        except KeyError as exc:
+            # the machine's sort lookup of an undeclared constructor
+            self.sig.symbol(exc.args[0])
+            raise
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -203,7 +194,7 @@ def evaluate(
     term: Term,
     sig: Signature,
     fuel: int = DEFAULT_FUEL,
-    trace: Optional[set] = None,
+    trace: set | None = None,
 ) -> Outcome:
     return CompiledStrategy(strategy, sig).run(term, fuel, trace)
 
@@ -280,7 +271,8 @@ def _execute(code, term, fuel, constr_sort, trace):
                 code = body
                 t = ch[0]
             else:  # RULE
-                out = code[1](t)
+                ts = t.sort if type(t) is lit_t else constr_sort[t.constr]
+                out = code[1](t) if ts == code[3] else None
                 if out is None:
                     val = failed
                 else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .interp import CompiledStrategy, Failure, FuelExhausted, Outcome, Success
 from .records import mutable_record, record
@@ -113,25 +113,6 @@ def builtin_rules() -> list[RuleDef]:
 # Generators
 
 
-def _min_depths(sig: Signature) -> dict[str, int]:
-    inf = 10**9
-    md = {s: (1 if s in sig.prim_sorts else inf) for s in sig.sorts}
-    changed = True
-    while changed:
-        changed = False
-        for sym in sig.symbols:
-            need = 1
-            if sym.arg_sorts:
-                worst = max(md[a] for a in sym.arg_sorts)
-                if worst >= inf:
-                    continue
-                need = 1 + worst
-            if need < md[sym.result_sort]:
-                md[sym.result_sort] = need
-                changed = True
-    return md
-
-
 def _random_lit(sig: Signature, rng: random.Random, sort: str) -> Lit:
     kind = sig.prim_sorts[sort]
     if kind == "int":
@@ -145,9 +126,9 @@ def gen_term(
     sig: Signature,
     rng: random.Random,
     max_depth: int,
-    sort: Optional[str] = None,
+    sort: str | None = None,
 ) -> Term:
-    md = _min_depths(sig)
+    md = sig.min_depths
     if sort is None:
         sort = rng.choice(sorted(s for s in sig.sorts if md[s] <= max_depth))
 
@@ -218,7 +199,7 @@ class Law:
     name: str
     slots: int
     #: None | "constant" | "nonconstant"
-    term_condition: Optional[str]
+    term_condition: str | None
     lhs: Callable[..., Strategy]
     rhs: Callable[..., Strategy]
 
@@ -286,7 +267,7 @@ class LawResult:
     passed: bool
     cases: int
     discards: int
-    counterexample: Optional[str] = None
+    counterexample: str | None = None
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -320,7 +301,7 @@ def _case_mismatch(
     t: Term,
     sig: Signature,
     fuel: int,
-) -> Optional[bool]:
+) -> bool | None:
     """True: counterexample. False: sides agree. None: fuel discard."""
     left = _eval(law.lhs(*strategies), t, sig, fuel)
     right = _eval(law.rhs(*strategies), t, sig, fuel)
@@ -379,7 +360,7 @@ def check_laws(
     for law in LAWS:
         rng = random.Random(f"{cfg.seed}:{law.name}")
         discards = 0
-        failure: Optional[str] = None
+        failure: str | None = None
         for _ in range(cfg.cases):
             strategies = tuple(
                 gen_strategy(rules, rng, rng.randrange(1, cfg.max_strategy_size + 1))
@@ -458,7 +439,7 @@ def _term_universe(sig: Signature) -> list[Term]:
 @mutable_record
 class NonlawResult:
     name: str
-    counterexample: Optional[str]
+    counterexample: str | None
 
     def line(self) -> str:
         if self.counterexample is None:
@@ -473,7 +454,7 @@ def find_nonlaw_counterexamples(
     terms = _term_universe(sig)
     results = []
     for nonlaw in NONLAWS:
-        found: Optional[str] = None
+        found: str | None = None
         for strategies in _candidates(universe, nonlaw.slots):
             for t in terms:
                 left = _eval(nonlaw.lhs(*strategies), t, sig, fuel)

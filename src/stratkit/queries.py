@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import add
-from typing import Callable, Union
+from collections.abc import Callable
 
 from .errors import EngineError, KindError
 from .records import record
@@ -173,9 +173,7 @@ class OnceCl:
     body: "QueryExpr"
 
 
-QueryExpr = Union[
-    ConstQ, FailQ, BothQ, ChoiceQ, AllQ, AdhocQ, FullCl, StopCl, OnceCl
-]
+QueryExpr = ConstQ | FailQ | BothQ | ChoiceQ | AllQ | AdhocQ | FullCl | StopCl | OnceCl
 
 
 def check_query_kinds(q: QueryExpr, monoid: MonoidSpec) -> None:

@@ -10,8 +10,6 @@ may still never fire).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import EngineError, SignatureError
 from .strategies import (
     Adhoc,
@@ -78,7 +76,7 @@ def _rule_map(sig: Signature, rule: Rule) -> ReachMap:
 def reach_analyse(
     sig: Signature,
     s: Strategy,
-    env: Optional[dict[str, ReachMap]] = None,
+    env: dict[str, ReachMap] | None = None,
 ) -> ReachMap:
     return walk(_reach_analyse, s, sig, env or {})
 

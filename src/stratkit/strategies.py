@@ -14,7 +14,7 @@ import itertools
 import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Generator, Iterator, Optional, TypeVar, Union
+from collections.abc import Callable, Generator, Iterator
 
 from .errors import EngineError, StratkitError
 from .records import record, replace
@@ -37,9 +37,9 @@ class RuleDef:
     sort: str
     lhs: Pattern
     rhs: Pattern
-    guard: Optional[str] = None
+    guard: str | None = None
     infallible: bool = False
-    effect_claim: Optional[tuple[str, ...]] = None
+    effect_claim: tuple[str, ...] | None = None
 
 
 @record
@@ -72,7 +72,7 @@ class RuleSeq:
         return self.members[0].sort
 
 
-Rule = Union[RuleDef, RuleChoice, RuleSeq]
+Rule = RuleDef | RuleChoice | RuleSeq
 
 
 def _check_same_sort(kind: str, members: tuple) -> None:
@@ -111,7 +111,7 @@ def rule_names(rule: Rule) -> tuple[str, ...]:
 # Succ spine iteratively; matched naturals may be arbitrarily deep.
 
 
-def _nat_value_parity(t: Term) -> Optional[int]:
+def _nat_value_parity(t: Term) -> int | None:
     n = 0
     while isinstance(t, Node) and t.constr == "Succ" and len(t.children) == 1:
         n ^= 1
@@ -129,7 +129,7 @@ def _odd_nat(t: Term) -> bool:
     return _nat_value_parity(t) == 1
 
 
-def _lit_pred(p: Callable[[Union[int, float]], bool]) -> Callable[[Term], bool]:
+def _lit_pred(p: Callable[[int | float], bool]) -> Callable[[Term], bool]:
     def check(t: Term) -> bool:
         return isinstance(t, Lit) and not isinstance(t.value, str) and p(t.value)
 
@@ -206,7 +206,7 @@ class Adhoc:
     rule: Rule
 
 
-Strategy = Union[Id, Fail, Seq, Choice, All, One, Var, Rec, RuleRef, Adhoc]
+Strategy = Id | Fail | Seq | Choice | All | One | Var | Rec | RuleRef | Adhoc
 
 ID = Id()
 FAIL = Fail()
@@ -271,10 +271,7 @@ def lookup(env: dict, name: str):
         raise EngineError(f"unbound strategy variable {name!r}") from None
 
 
-_X = TypeVar("_X")
-
-
-def fix_eq(f: Callable[[_X], tuple], bottom: _X) -> Generator:
+def fix_eq(f: Callable[[object], tuple], bottom: object) -> Generator:
     """Step fragment for `yield from`: the least fixpoint of the walk's
     result for the call f(x), by iteration from bottom (Kleene); callers
     guarantee that map is monotone over a finite-height lattice. A None

@@ -18,7 +18,6 @@ strategy diverges.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Union
 
 from .errors import EngineError, ParseError
 from .records import record
@@ -112,7 +111,7 @@ class DepthComponent:
     pass
 
 
-Component = Union[CountComponent, DepthComponent]
+Component = CountComponent | DepthComponent
 
 DEPTH = DepthComponent()
 
@@ -189,7 +188,7 @@ def lex_admissible(r: RelVec) -> bool:
     return False
 
 
-def show_vec(r: Optional[RelVec]) -> str:
+def show_vec(r: RelVec | None) -> str:
     if r is None:
         return "NOT PROVEN"
     return "[" + ",".join(str(x) for x in r) + "]"
@@ -246,7 +245,7 @@ def rule_effect_check(rule: RuleDef, m: Measure) -> RelVec:
     return tuple(out)
 
 
-def _claim_vec(rule: RuleDef) -> Optional[RelVec]:
+def _claim_vec(rule: RuleDef) -> RelVec | None:
     if rule.effect_claim is None:
         return None
     return tuple(parse_rel(x) for x in rule.effect_claim)
@@ -302,8 +301,8 @@ def term_analyse(
     s: Strategy,
     m: Measure,
     r: RelVec,
-    env: Optional[TermEnv] = None,
-) -> Optional[RelVec]:
+    env: TermEnv | None = None,
+) -> RelVec | None:
     return walk(_term_analyse, s, m, r, env or {})
 
 
@@ -364,6 +363,6 @@ def _term_analyse(s: Strategy, m: Measure, r: RelVec, env: TermEnv):
 
 
 def term_type_of(
-    s: Strategy, m: Measure, env: Optional[TermEnv] = None
-) -> Optional[RelVec]:
+    s: Strategy, m: Measure, env: TermEnv | None = None
+) -> RelVec | None:
     return term_analyse(s, m, leqs(m), env)

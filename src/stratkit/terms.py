@@ -13,7 +13,8 @@ and never recurse.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Optional, Union
+from collections.abc import Callable, Iterator, Mapping
+from functools import cached_property
 
 from .errors import SignatureError, TermError
 from .records import record
@@ -92,7 +93,7 @@ class Lit(Term):
 
     __slots__ = ("value", "sort", "_hash")
 
-    def __init__(self, value: Union[int, float, str], sort: Sort):
+    def __init__(self, value: int | float | str, sort: Sort):
         self.value = value
         self.sort = sort
         self._hash = hash(("lit", type(value).__name__, value, sort))
@@ -176,11 +177,11 @@ class PNode:
 
 @record
 class PLit:
-    value: Union[int, float, str]
+    value: int | float | str
     sort: Sort
 
 
-Pattern = Union[PVar, PNode, PLit]
+Pattern = PVar | PNode | PLit
 
 
 def pattern_vars(p: Pattern) -> set[str]:
@@ -195,7 +196,7 @@ def pattern_vars(p: Pattern) -> set[str]:
     return out
 
 
-def match(p: Pattern, t: Term) -> Optional[dict[str, Term]]:
+def match(p: Pattern, t: Term) -> dict[str, Term] | None:
     """The unique substitution with p[theta] == t, or None.
 
     Repeated variables are allowed and require structurally equal
@@ -231,7 +232,7 @@ def match(p: Pattern, t: Term) -> Optional[dict[str, Term]]:
 
 
 def compile_rewrite(
-    lhs: Pattern, rhs: Pattern, guard: Optional[Callable[[Term], bool]] = None
+    lhs: Pattern, rhs: Pattern, guard: Callable[[Term], bool] | None = None
 ):
     """Applier for the rewrite lhs -> rhs, Term -> Term | None: the
     instance of rhs under the match of lhs, if it matches and the guard,
@@ -351,6 +352,27 @@ class Signature:
             return self.by_constr[constr]
         except KeyError:
             raise SignatureError(f"unknown constructor {constr!r}") from None
+
+    @cached_property
+    def min_depths(self) -> dict[Sort, int]:
+        """The least depth of a term of each sort; 10**9 for a sort that
+        has no finite term. The term generator reads it on every call."""
+        inf = 10**9
+        md = {s: (1 if s in self.prim_sorts else inf) for s in self.sorts}
+        changed = True
+        while changed:
+            changed = False
+            for sym in self.symbols:
+                need = 1
+                if sym.arg_sorts:
+                    worst = max(md[a] for a in sym.arg_sorts)
+                    if worst >= inf:
+                        continue
+                    need = 1 + worst
+                if need < md[sym.result_sort]:
+                    md[sym.result_sort] = need
+                    changed = True
+        return md
 
     def arg_sorts_of_sort(self, sort: Sort) -> frozenset[Sort]:
         """Union of argument sorts over all constructors of `sort`; empty

@@ -645,6 +645,14 @@ def test_lint_checks_its_options_before_printing_findings(fixtures_dir, option, 
     assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"{message}\n")
 
 
+@pytest.mark.parametrize("command", [["lint"], ["analyze", "termination"]])
+def test_a_measure_counting_an_undeclared_constructor_is_rejected(fixtures_dir, command):
+    files = ["nat_tree.sig", "programs/stop_increment.strat"]
+    result = invoke(fixtures_dir, [*command, *files, "--measure", "count:Nope,depth"])
+    message = "measure 'count:Nope,depth' counts an unknown constructor 'Nope'\n"
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", message)
+
+
 @pytest.mark.parametrize("command", [["analyze", "reach"], ["lint"]])
 @pytest.mark.parametrize("root, code, runs", [("BoolTree", 1, 1), ("Ghost", 2, 0)])
 def test_reachability_runs_once_and_not_for_an_unknown_root(

@@ -263,6 +263,15 @@ def test_scan_handles_rec_with_the_inferred_assumption():
     assert scan_dead_choices(s) == [("body", "all(v)")]
 
 
+def test_the_strict_verdict_is_not_read_off_the_lenient_scan():
+    # the lenient walk settles on True and finds the choice dead; refusing
+    # that choice leaves only the False assumption for the strict walk
+    s = Rec("x", Choice(Var("x"), FAIL))
+    assert sf_type_of(s) is True
+    assert sf_type_of(s, strict=True) is False
+    assert scan_dead_choices(s) == [("body", "x")]
+
+
 def test_a_long_choice_chain_is_scanned_in_linear_time(rules):
     # `alt <+ … <+ alt <+ id <+ alt` with 5 000 alternatives: every
     # choice types its left operand, and the one finding prints the chain

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genlib import apply_rule, nat, strategy_exprs, terms
-from stratkit.errors import EngineError, TermError
+from stratkit.errors import EngineError, SignatureError, TermError
 from stratkit.interp import (
     DEFAULT_FUEL,
     CompiledStrategy,
@@ -377,6 +377,25 @@ def test_an_unbound_rule_variable_is_rejected_at_compile_time(sig, lhs):
         with pytest.raises(TermError) as exc:
             CompiledStrategy(s, sig)
         assert str(exc.value) == "unbound pattern variable 'm'"
+
+
+@pytest.mark.parametrize("form", ["adhoc", "rule", "under all"])
+def test_an_undeclared_constructor_is_a_signature_error(sig, rules, form):
+    inc = rules["increment"]
+    s, t = {
+        "adhoc": (Adhoc(ID, inc), Node("Bogus")),
+        "rule": (RuleRef(inc), Node("Bogus")),
+        "under all": (All(RuleRef(inc)), Node("Succ", (Node("Bogus"),))),
+    }[form]
+    with pytest.raises(SignatureError) as exc:
+        CompiledStrategy(s, sig).run(t)
+    assert str(exc.value) == "unknown constructor 'Bogus'"
+
+
+def test_a_rule_fails_on_a_term_of_another_sort(sig, rules):
+    # one fuel unit, as the dispatch of any rule
+    out = evaluate(RuleRef(rules["increment"]), TREE1, sig, fuel=1)
+    assert out == Failure()
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ def test_gen_term_honours_a_requested_sort(sig, rng):
         assert sort_of(sig, gen_term(sig, rng, 3, "NatTree")) == "NatTree"
 
 
+def test_a_signature_keeps_its_least_term_depths():
+    sig = builtin_signature()
+    depths = sig.min_depths
+    lists = {"[NatTree]": 1, "[BoolTree]": 1}
+    assert depths == {"Nat": 1, "Bool": 1, "NatTree": 2, "BoolTree": 2, **lists}
+    gen_term(sig, random.Random(1), 3)
+    assert sig.min_depths is depths
+
+
 def test_constant_and_nonconstant_generators(sig, rng):
     for _ in range(100):
         assert not gen_constant_term(sig, rng).children

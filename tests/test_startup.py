@@ -2,9 +2,9 @@
 
 `import stratkit` loads no submodule; each public name imports its own
 submodule on first use. Parsing, compiling and `stratkit run` need
-neither `dataclasses` nor the analyses and the law suite. These checks
-run in fresh interpreters, since the test session has imported
-everything already.
+neither `dataclasses` nor the analyses and the law suite, and without
+`site` they load no `typing`. These checks run in fresh interpreters,
+since the test session has imported everything already.
 """
 
 import importlib
@@ -52,12 +52,13 @@ UNUSED = [
 ]
 
 
-def modules_after(script: str) -> set[str]:
-    """The names in sys.modules once script has run in a fresh interpreter."""
+def modules_after(script: str, *flags: str) -> set[str]:
+    """The names in sys.modules once script has run in a fresh interpreter
+    started with flags."""
     code = script + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     path = os.pathsep.join(filter(None, [str(SOURCE_ROOT), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -90,6 +91,19 @@ def test_the_run_command_loads_no_dataclasses_nor_analyses():
         f"assert main(['run', *{args!r}]) == 0\n"
     )
     assert [m for m in UNUSED if m in loaded] == []
+
+
+def test_the_run_command_loads_no_typing_without_site():
+    # `site` may load `typing` itself (through a `.pth` file), so -S
+    args = [str(FIXTURES / f) for f in
+            ("nat_tree.sig", "programs/stop_increment.strat", "terms/tree1.term")]
+    loaded = modules_after(
+        "from stratkit.cli import main\n"
+        f"assert main(['run', *{args!r}]) == 0\n",
+        "-S",
+    )
+    assert "stratkit.interp" in loaded
+    assert "typing" not in loaded
 
 
 def test_import_stratkit_loads_no_submodule():

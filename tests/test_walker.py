@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import walker_oracle as oracle
 from genlib import nat, terms
 from stratkit.dsl import Def, _param_linearity_lints
-from stratkit.fallibility import Sf, scan_dead_choices, sf_analyse, sf_strict, sf_type_of
+from stratkit.fallibility import Sf, scan_dead_choices, sf_analyse, sf_type_of
 from stratkit.interp import _FAILED, CompiledStrategy, Failure, FuelExhausted, Success, _execute
 from stratkit.laws import _adhocify, builtin_rules, builtin_signature
 from stratkit.reachability import _rule_map, dead_case_report, mentioned_cases, reach_analyse
@@ -176,11 +176,9 @@ def typed_separately(type_of, scan, s, ctx):
     st.one_of(with_dead_choices(), strategies()),
     st.dictionaries(st.sampled_from(NAMES), st.sampled_from([True, False])),
 )
-def test_one_strict_walk_gives_the_verdict_and_findings_of_two(s, ctx):
+def test_the_strict_verdict_and_findings_match_the_oracle(s, ctx):
     assume(rec_nesting(s) <= 4)
-    one_walk = outcome(sf_strict, s, ctx)
-    assert one_walk == outcome(typed_separately, sf_type_of, scan_dead_choices, s, ctx)
-    assert one_walk == outcome(
+    assert outcome(typed_separately, sf_type_of, scan_dead_choices, s, ctx) == outcome(
         typed_separately, oracle.sf_type_of, oracle.scan_dead_choices, s, ctx
     )
 

@@ -2,7 +2,8 @@
 ladders that `stratkit` replaced with steps on `strategies.walk`, kept
 verbatim. Only the imports changed: each call names the copy in this
 module, and the `ANY` of fallibility and of termination are told apart
-as `ANY_SF` and `ANY_REL`. They recurse on the Python stack, so they serve
+as `ANY_SF` and `ANY_REL`. The compiler also builds the machine's
+current rule opcodes. They recurse on the Python stack, so they serve
 small generated strategies only.
 
 test_walker.py holds the walk-based code to their results, printed text
@@ -198,13 +199,13 @@ def _compile(s: Strategy, sig: Signature, env: dict[str, _Cell]):
         cell.code = _compile(s.body, sig, inner)
         return cell.code
     if isinstance(s, RuleRef):
-        return (OP_RULE, compile_rule(s.rule, sig, True), rule_names(s.rule))
+        return (OP_RULE, compile_rule(s.rule), rule_names(s.rule), s.rule.sort)
     if isinstance(s, Adhoc):
         return (
             OP_ADHOC,
             _compile(s.default, sig, env),
             s.rule.sort,
-            compile_rule(s.rule, sig, False),
+            compile_rule(s.rule),
             rule_names(s.rule),
         )
     raise EngineError(f"cannot compile {s!r}")
