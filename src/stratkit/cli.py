@@ -152,23 +152,17 @@ def laws(args) -> int:
     cfg = GenConfig(seed=args.seed, cases=args.cases)
     sig = builtin_signature()
     rules = builtin_rules()
-    failed = 0
-    for result in check_laws(sig, rules, cfg):
-        print(result.line())
-        if not result.passed:
-            failed += 1
-    for nonlaw in find_nonlaw_counterexamples(sig, rules, fuel=cfg.fuel):
-        print(nonlaw.line())
-        if nonlaw.counterexample is None:
-            failed += 1
-    for prop in check_scheme_properties(sig, rules, cfg):
-        print(prop.line())
-        if not prop.passed:
-            failed += 1
-    soundness = check_soundness(sig, rules, cfg, runs=max(10 * args.cases, 1000))
-    print(soundness.line())
-    if soundness.failures:
-        failed += 1
+    checks = (
+        lambda: check_laws(sig, rules, cfg),
+        lambda: find_nonlaw_counterexamples(sig, rules, fuel=cfg.fuel),
+        lambda: check_scheme_properties(sig, rules, cfg),
+        lambda: [check_soundness(sig, rules, cfg, runs=max(10 * args.cases, 1000))],
+    )
+    failed = False
+    for check in checks:
+        for result in check():  # each group is printed once it is computed
+            print(result.line())
+            failed = failed or not result.passed
     return 1 if failed else 0
 
 

@@ -60,7 +60,7 @@ from .queries import (
     QueryRule,
     StopCl,
 )
-from .records import factory, mutable_record, record
+from .records import mutable_record, record
 from .strategies import (
     FAIL,
     GUARDS,
@@ -324,7 +324,7 @@ class Program:
     rules: dict[str, RuleDef]
     defs: dict[str, Def]
     main: Strategy
-    lints: list[str] = factory(list)
+    lints: list[str]
 
 
 @mutable_record
@@ -332,7 +332,6 @@ class QueryProgram:
     signature: Signature
     qrules: dict[str, QueryRule]
     main: QueryExpr
-    lints: list[str] = factory(list)
 
 
 class _Parser:

@@ -9,7 +9,9 @@ counted; the discard rate is part of the report.
 
 Three putative equalities are known to be false; for those the harness
 does the opposite and searches a small, deterministic universe for a
-concrete counterexample.
+concrete counterexample. Laws and non-laws are rows of one table shape,
+`Law`, and every check reports results whose `passed` says whether the
+check met its expectation.
 
 Everything here is seeded. random.Random with a string seed hashes the
 string, so per-law generators are stable across processes.
@@ -21,7 +23,7 @@ import random
 import warnings
 from collections.abc import Callable
 
-from .interp import CompiledStrategy, Failure, FuelExhausted, Outcome, Success
+from .interp import Failure, FuelExhausted, Outcome, Success, evaluate
 from .records import mutable_record, record
 from .strategies import (
     FAIL,
@@ -66,9 +68,11 @@ from .terms import (
 class GenConfig:
     seed: int = 2026
     cases: int = 1000
-    max_term_depth: int = 5
-    max_strategy_size: int = 7
-    fuel: int = 2000
+
+    # not fields: every run samples within these bounds and this fuel
+    max_term_depth = 5
+    max_strategy_size = 7
+    fuel = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +194,23 @@ def gen_strategy(
     return shape(gen_strategy(rules, rng, size - 1))
 
 
+def _draw(rules: list[Rule], rng: random.Random) -> Strategy:
+    """A sampled strategy of random size up to GenConfig.max_strategy_size."""
+    return gen_strategy(rules, rng, rng.randrange(1, GenConfig.max_strategy_size + 1))
+
+
 # ---------------------------------------------------------------------------
 # Law table
 
 
 @record
 class Law:
+    """A putative equality between two strategy expressions over `slots`
+    strategy arguments; LAWS hold, NONLAWS do not."""
+
     name: str
     slots: int
-    #: None | "constant" | "nonconstant"
+    #: None | "constant" | "nonconstant"; None for every non-law
     term_condition: str | None
     lhs: Callable[..., Strategy]
     rhs: Callable[..., Strategy]
@@ -261,53 +273,55 @@ LAWS: tuple[Law, ...] = (
 )
 
 
+LAW, PROPERTY = "LAW", "PROPERTY"
+
+
 @mutable_record
-class LawResult:
+class SampledResult:
+    """A law (kind LAW) or scheme property (kind PROPERTY) checked on
+    `cases` sampled cases; `detail` is the counterexample, "" if none."""
+
+    kind: str
     name: str
     passed: bool
     cases: int
     discards: int
-    counterexample: str | None = None
+    detail: str = ""
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        out = f"LAW {self.name} {verdict}"
-        if self.counterexample:
-            out += f" {self.counterexample}"
+        out = f"{self.kind} {self.name} {verdict}"
+        if self.detail:
+            out += f" {self.detail}"
         return out
 
 
-def _outcomes_equal(a: Outcome, b: Outcome) -> bool:
-    if isinstance(a, Success) and isinstance(b, Success):
-        return term_eq(a.term, b.term)
-    return isinstance(a, Failure) and isinstance(b, Failure)
+def _sides(
+    law: Law, strategies: tuple[Strategy, ...], t: Term, sig: Signature, fuel: int
+) -> tuple[Outcome, Outcome] | None:
+    """The outcomes of law's two sides on t; None when either runs out
+    of fuel, which discards the case."""
+    left = evaluate(law.lhs(*strategies), t, sig, fuel)
+    if isinstance(left, FuelExhausted):
+        return None
+    right = evaluate(law.rhs(*strategies), t, sig, fuel)
+    return None if isinstance(right, FuelExhausted) else (left, right)
 
 
-def _eval(s: Strategy, t: Term, sig: Signature, fuel: int) -> Outcome:
-    return CompiledStrategy(s, sig).run(t, fuel)
+def _differ(sides: tuple[Outcome, Outcome] | None) -> bool:
+    """Both sides ran within fuel, to different outcomes: a counterexample."""
+    if sides is None:
+        return False
+    a, b = sides
+    return type(a) is not type(b) or (isinstance(a, Success) and not term_eq(a.term, b.term))
 
 
-def _gen_case_term(law: Law, sig: Signature, rng: random.Random, cfg: GenConfig):
+def _gen_case_term(law: Law, sig: Signature, rng: random.Random) -> Term:
     if law.term_condition == "constant":
         return gen_constant_term(sig, rng)
     if law.term_condition == "nonconstant":
-        return gen_nonconstant_term(sig, rng, cfg.max_term_depth)
-    return gen_term(sig, rng, cfg.max_term_depth)
-
-
-def _case_mismatch(
-    law: Law,
-    strategies: tuple[Strategy, ...],
-    t: Term,
-    sig: Signature,
-    fuel: int,
-) -> bool | None:
-    """True: counterexample. False: sides agree. None: fuel discard."""
-    left = _eval(law.lhs(*strategies), t, sig, fuel)
-    right = _eval(law.rhs(*strategies), t, sig, fuel)
-    if isinstance(left, FuelExhausted) or isinstance(right, FuelExhausted):
-        return None
-    return not _outcomes_equal(left, right)
+        return gen_nonconstant_term(sig, rng, GenConfig.max_term_depth)
+    return gen_term(sig, rng, GenConfig.max_term_depth)
 
 
 def _shrink(
@@ -317,32 +331,28 @@ def _shrink(
     sig: Signature,
     fuel: int,
 ) -> tuple[tuple[Strategy, ...], Term]:
-    """Greedy minimization keeping the mismatch alive."""
-    improved = True
-    while improved:
-        improved = False
-        for child in t.children:
-            if law.term_condition == "nonconstant" and not child.children:
-                continue
-            if _case_mismatch(law, strategies, child, sig, fuel):
-                t = child
-                improved = True
+    """Greedy minimization keeping the mismatch alive: take the first
+    smaller case that still mismatches, until none does."""
+    while True:
+        for smaller in _smaller_cases(law, strategies, t):
+            if _differ(_sides(law, *smaller, sig, fuel)):
+                strategies, t = smaller
                 break
-        if improved:
-            continue
-        for i, s in enumerate(strategies):
-            # a rec's body alone would leave its binder unbound
-            for repl in (ID, FAIL, *(() if isinstance(s, Rec) else children(s))):
-                if repl == s:
-                    continue
-                candidate = strategies[:i] + (repl,) + strategies[i + 1 :]
-                if _case_mismatch(law, candidate, t, sig, fuel):
-                    strategies = candidate
-                    improved = True
-                    break
-            if improved:
-                break
-    return strategies, t
+        else:
+            return strategies, t
+
+
+def _smaller_cases(law: Law, strategies: tuple[Strategy, ...], t: Term):
+    """Each child of t in place of t, then each strategy replaced by id,
+    fail or one of its children."""
+    for child in t.children:
+        if law.term_condition != "nonconstant" or child.children:
+            yield strategies, child
+    for i, s in enumerate(strategies):
+        # a rec's body alone would leave its binder unbound
+        for repl in (ID, FAIL, *(() if isinstance(s, Rec) else children(s))):
+            if repl != s:
+                yield strategies[:i] + (repl,) + strategies[i + 1 :], t
 
 
 def _render_case(strategies: tuple[Strategy, ...], t: Term) -> str:
@@ -355,28 +365,23 @@ def _render_case(strategies: tuple[Strategy, ...], t: Term) -> str:
 
 def check_laws(
     sig: Signature, rules: list[Rule], cfg: GenConfig = GenConfig()
-) -> list[LawResult]:
+) -> list[SampledResult]:
     results = []
     for law in LAWS:
         rng = random.Random(f"{cfg.seed}:{law.name}")
         discards = 0
-        failure: str | None = None
+        failure = ""
         for _ in range(cfg.cases):
-            strategies = tuple(
-                gen_strategy(rules, rng, rng.randrange(1, cfg.max_strategy_size + 1))
-                for _ in range(law.slots)
-            )
-            t = _gen_case_term(law, sig, rng, cfg)
-            verdict = _case_mismatch(law, strategies, t, sig, cfg.fuel)
-            if verdict is None:
+            strategies = tuple(_draw(rules, rng) for _ in range(law.slots))
+            t = _gen_case_term(law, sig, rng)
+            sides = _sides(law, strategies, t, sig, cfg.fuel)
+            if sides is None:
                 discards += 1
-            elif verdict:
+            elif _differ(sides):
                 strategies, t = _shrink(law, strategies, t, sig, cfg.fuel)
                 failure = _render_case(strategies, t)
                 break
-        results.append(
-            LawResult(law.name, failure is None, cfg.cases, discards, failure)
-        )
+        results.append(SampledResult(LAW, law.name, not failure, cfg.cases, discards, failure))
     return results
 
 
@@ -384,30 +389,13 @@ def check_laws(
 # Non-laws: bounded deterministic counterexample search
 
 
-@record
-class Nonlaw:
-    name: str
-    slots: int
-    lhs: Callable[..., Strategy]
-    rhs: Callable[..., Strategy]
-
-
-NONLAWS: tuple[Nonlaw, ...] = (
-    Nonlaw(
-        "seq-commutative",
-        2,
-        lambda a, b: Seq(a, b),
-        lambda a, b: Seq(b, a),
-    ),
-    Nonlaw(
-        "choice-commutative",
-        2,
-        lambda a, b: Choice(a, b),
-        lambda a, b: Choice(b, a),
-    ),
-    Nonlaw(
+NONLAWS: tuple[Law, ...] = (
+    Law("seq-commutative", 2, None, lambda a, b: Seq(a, b), lambda a, b: Seq(b, a)),
+    Law("choice-commutative", 2, None, lambda a, b: Choice(a, b), lambda a, b: Choice(b, a)),
+    Law(
         "seq-right-dist",
         3,
+        None,
         lambda a, b, c: Seq(Choice(a, b), c),
         lambda a, b, c: Choice(Seq(a, c), Seq(b, c)),
     ),
@@ -428,7 +416,7 @@ def _strategy_universe(rules: list[Rule]) -> list[tuple[int, Strategy]]:
     return out
 
 
-def _term_universe(sig: Signature) -> list[Term]:
+def _term_universe() -> list[Term]:
     zero = Node("Zero")
     one = Node("Succ", (zero,))
     two = Node("Succ", (one,))
@@ -441,6 +429,11 @@ class NonlawResult:
     name: str
     counterexample: str | None
 
+    @property
+    def passed(self) -> bool:
+        """A non-law passes when it is refuted."""
+        return self.counterexample is not None
+
     def line(self) -> str:
         if self.counterexample is None:
             return f"NONLAW {self.name} NO-COUNTEREXAMPLE"
@@ -448,31 +441,27 @@ class NonlawResult:
 
 
 def find_nonlaw_counterexamples(
-    sig: Signature, rules: list[Rule], fuel: int = 2000
+    sig: Signature, rules: list[Rule], fuel: int = GenConfig.fuel
 ) -> list[NonlawResult]:
     universe = _strategy_universe(rules)
-    terms = _term_universe(sig)
-    results = []
-    for nonlaw in NONLAWS:
-        found: str | None = None
-        for strategies in _candidates(universe, nonlaw.slots):
-            for t in terms:
-                left = _eval(nonlaw.lhs(*strategies), t, sig, fuel)
-                right = _eval(nonlaw.rhs(*strategies), t, sig, fuel)
-                if isinstance(left, FuelExhausted) or isinstance(
-                    right, FuelExhausted
-                ):
-                    continue
-                if not _outcomes_equal(left, right):
-                    found = _render_case(strategies, t) + (
-                        f" left={_show_outcome(left)}"
-                        f" right={_show_outcome(right)}"
-                    )
-                    break
-            if found:
-                break
-        results.append(NonlawResult(nonlaw.name, found))
-    return results
+    terms = _term_universe()
+    return [
+        NonlawResult(law.name, _first_counterexample(law, universe, terms, sig, fuel))
+        for law in NONLAWS
+    ]
+
+
+def _first_counterexample(law: Law, universe, terms, sig: Signature, fuel: int) -> str | None:
+    for strategies in _candidates(universe, law.slots):
+        for t in terms:
+            sides = _sides(law, strategies, t, sig, fuel)
+            if _differ(sides):
+                left, right = sides
+                return (
+                    f"{_render_case(strategies, t)}"
+                    f" left={_show_outcome(left)} right={_show_outcome(right)}"
+                )
+    return None
 
 
 def _candidates(universe, slots):
@@ -500,33 +489,14 @@ def _candidates(universe, slots):
 
 
 def _show_outcome(o: Outcome) -> str:
+    """A Success or Failure as the CLI prints it."""
     from .files import term_to_sexpr
 
-    if isinstance(o, Success):
-        return term_to_sexpr(o.term)
-    if isinstance(o, Failure):
-        return "FAIL"
-    return f"DIVERGENT? steps={o.steps}"
+    return term_to_sexpr(o.term) if isinstance(o, Success) else "FAIL"
 
 
 # ---------------------------------------------------------------------------
 # Scheme properties and empirical soundness
-
-
-@mutable_record
-class PropertyResult:
-    name: str
-    passed: bool
-    cases: int
-    discards: int
-    detail: str = ""
-
-    def line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        out = f"PROPERTY {self.name} {verdict}"
-        if self.detail:
-            out += f" {self.detail}"
-        return out
 
 
 def _quiet_stop_bu(s: Strategy) -> Strategy:
@@ -564,7 +534,7 @@ _SCHEME_PROPERTIES = (
 
 def check_scheme_properties(
     sig: Signature, rules: list[Rule], cfg: GenConfig = GenConfig()
-) -> list[PropertyResult]:
+) -> list[SampledResult]:
     results = []
     for name, label, scheme, wrap, holds in _SCHEME_PROPERTIES:
         rng = random.Random(f"{cfg.seed}:prop:{label}")
@@ -572,11 +542,11 @@ def check_scheme_properties(
         bad = ""
         witnessed = False
         for _ in range(cfg.cases):
-            s = gen_strategy(rules, rng, rng.randrange(1, cfg.max_strategy_size + 1))
+            s = _draw(rules, rng)
             if wrap is not None:
                 s = wrap(s)
             t = gen_term(sig, rng, cfg.max_term_depth)
-            out = _eval(scheme(s), t, sig, cfg.fuel)
+            out = evaluate(scheme(s), t, sig, cfg.fuel)
             if isinstance(out, FuelExhausted):
                 discards += 1
             elif holds is None:
@@ -587,7 +557,7 @@ def check_scheme_properties(
                 bad = _render_case((s,), t)
                 break
         passed = witnessed if holds is None else not bad
-        results.append(PropertyResult(name, passed, cfg.cases, discards, bad))
+        results.append(SampledResult(PROPERTY, name, passed, cfg.cases, discards, bad))
     return results
 
 
@@ -597,8 +567,12 @@ class SoundnessResult:
     failures: int
     exhausted: int
 
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
+
     def line(self) -> str:
-        verdict = "PASS" if self.failures == 0 else "FAIL"
+        verdict = "PASS" if self.passed else "FAIL"
         return (
             f"PROPERTY typed-infallible-never-fails {verdict} "
             f"runs={self.runs} failures={self.failures} "
@@ -640,14 +614,12 @@ def check_soundness(
     exhausted = 0
     wrappers = (stop_td, innermost, lambda s: s, try_)
     for _ in range(runs):
-        base = _adhocify(
-            gen_strategy(rules, rng, rng.randrange(1, cfg.max_strategy_size + 1))
-        )
+        base = _adhocify(_draw(rules, rng))
         s = rng.choice(wrappers)(base)
         if sf_type_of(s) is not True:
             s = try_(base)
         t = gen_term(sig, rng, cfg.max_term_depth)
-        out = _eval(s, t, sig, cfg.fuel)
+        out = evaluate(s, t, sig, cfg.fuel)
         if isinstance(out, Failure):
             failures += 1
         elif isinstance(out, FuelExhausted):

@@ -2,7 +2,7 @@
 made without generating source.
 
 A record lists its fields as class annotations, in order, with optional
-defaults; a `factory(make)` default is a fresh `make()` per instance.
+defaults; a class attribute without an annotation is not a field.
 `@record` makes it frozen and hashable by its field tuple,
 `@mutable_record` assignable and unhashable. A record equals only
 records of its class with equal fields, prints as `Name(f=..., ...)`,
@@ -60,13 +60,6 @@ _HASH = (
 # fmt: on
 
 
-class factory:
-    """A field default made fresh for each instance: `x: list = factory(list)`."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def replace(obj, **changes):
     """A record like obj, with the fields named in changes changed."""
     fields = {name: getattr(obj, name) for name in obj.__match_args__}
@@ -81,17 +74,12 @@ def record(cls, frozen: bool = True):
     defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
     fill = cls.__init__ = _specialise(_INIT, cls, "__init__")
     fill.__defaults__ = defaults
-    fresh = [(n, d) for n, d in vars(cls).items() if isinstance(d, factory)]
     post_init = getattr(cls, "__post_init__", None)
-    if fresh or post_init:
+    if post_init:
 
         def __init__(self, *args, **kwargs):
             fill(self, *args, **kwargs)
-            for name, default in fresh:
-                if getattr(self, name) is default:
-                    _set(self, name, default.make())
-            if post_init:
-                post_init(self)
+            post_init(self)
 
         cls.__init__ = __init__
     cls.__eq__ = _specialise(_EQ, cls, "__eq__")

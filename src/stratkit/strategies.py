@@ -30,7 +30,9 @@ class RuleDef:
 
     `guard` names a predicate from GUARDS applied to the whole matched
     term; `infallible` and `effect_claim` are programmer annotations
-    that the analyses may check but the interpreter ignores.
+    that the analyses may check but the interpreter ignores. An effect
+    claim is a tuple of `termination.Rel` values, one per measure
+    component, as the loader reads them from `@effect(...)`.
     """
 
     name: str
@@ -39,7 +41,7 @@ class RuleDef:
     rhs: Pattern
     guard: str | None = None
     infallible: bool = False
-    effect_claim: tuple[str, ...] | None = None
+    effect_claim: tuple[Rel, ...] | None = None
 
 
 @record

@@ -40,7 +40,7 @@ from .strategies import (
     lookup,
     walk,
 )
-from .terms import Pattern, PLit, PNode, PVar
+from .terms import Pattern, PNode, PVar
 
 
 class Rel(enum.Enum):
@@ -245,18 +245,12 @@ def rule_effect_check(rule: RuleDef, m: Measure) -> RelVec:
     return tuple(out)
 
 
-def _claim_vec(rule: RuleDef) -> RelVec | None:
-    if rule.effect_claim is None:
-        return None
-    return tuple(parse_rel(x) for x in rule.effect_claim)
-
-
 def rule_effect(rule: Rule, m: Measure) -> RelVec:
     """Effect vector a rule contributes to the analysis: the declared
     claim when it fits the measure, the checked effect otherwise.
     Alternatives take the lub of members, pipelines the sum."""
     if isinstance(rule, RuleDef):
-        claim = _claim_vec(rule)
+        claim = rule.effect_claim
         if claim is not None and len(claim) == len(m):
             return claim
         return rule_effect_check(rule, m)
@@ -272,7 +266,7 @@ def verify_annotations(rules, m: Measure) -> list[str]:
     A claim may be weaker than the checked effect, never stronger."""
     out: list[str] = []
     for rule in rules:
-        claim = _claim_vec(rule)
+        claim = rule.effect_claim
         if claim is None:
             continue
         if len(claim) != len(m):

@@ -141,6 +141,7 @@ GOLDENS = {
         1,
         ["lint", "nat_tree.sig", "programs/lint_bait.strat"],
     ),
+    "laws_seed7_cases50.out": (0, ["laws", "--seed", "7", "--cases", "50"]),
 }
 
 
@@ -698,6 +699,55 @@ def test_laws_command_reports_every_check():
     assert sum(1 for x in lines if x.startswith("PROPERTY ")) == 8
     assert all(" FAIL" not in x for x in lines)
     assert all("NO-COUNTEREXAMPLE" not in x for x in lines)
+
+
+def test_laws_command_exits_1_when_a_check_fails(monkeypatch):
+    import stratkit.laws as laws
+
+    # a false law checked as a law, and a true one searched as a non-law
+    false_law, true_law = laws.NONLAWS[1], laws.LAWS[0]
+    monkeypatch.setattr(laws, "LAWS", (false_law,))
+    monkeypatch.setattr(laws, "NONLAWS", (true_law,))
+    result = call_main(["laws", "--cases", "25"])
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert len(lines) == 10
+    assert lines[0].startswith("LAW choice-commutative FAIL s1=")
+    assert lines[1] == "NONLAW seq-unit-left NO-COUNTEREXAMPLE"
+    assert all(" PASS" in x for x in lines[2:])
+
+
+#: claim on dropSucc -> command -> (exit code, stdout) for `main = repeat(dropSucc)`
+EFFECT_CLAIMS = {
+    # the claim fits the depth measure and proves the recursion
+    "less": {"termination": (0, "main: [Leq]\n"), "lint": (0, "clean\n")},
+    # a weaker claim that fits is used as it stands, and proves nothing
+    "leq": {
+        "termination": (1, "main: NOT PROVEN\n"),
+        "lint": (1, "main: termination NOT PROVEN under depth\n"),
+    },
+    # two components against a one-component measure: reported, then ignored
+    "less, any": {
+        "termination": (
+            1,
+            "main: [Leq]\n"
+            "rule dropSucc: effect claim has 2 components but measure depth has 1\n",
+        ),
+        "lint": (1, "rule dropSucc: effect claim has 2 components but measure depth has 1\n"),
+    },
+}
+
+
+@pytest.mark.parametrize("claim", sorted(EFFECT_CLAIMS))
+@pytest.mark.parametrize("command", ["termination", "lint"])
+def test_effect_claims_get_a_verdict(fixtures_dir, tmp_path, claim, command):
+    prog = tmp_path / "claimed.strat"
+    prog.write_text(
+        f"@effect({claim})\nrule dropSucc : Nat = (Succ n) -> n\nmain = repeat(dropSucc)\n"
+    )
+    argv = ["analyze", "termination"] if command == "termination" else ["lint"]
+    result = call_main([*argv, str(fixtures_dir / "nat_tree.sig"), str(prog)])
+    assert (result.exit_code, result.stdout, result.stderr) == (*EFFECT_CLAIMS[claim][command], "")
 
 
 def test_termination_command_with_compound_measure(fixtures_dir):

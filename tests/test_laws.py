@@ -8,7 +8,7 @@ import re
 import pytest
 
 import stratkit.laws as laws
-from stratkit.interp import CompiledStrategy, Failure, FuelExhausted, Success
+from stratkit.interp import Failure, FuelExhausted, Success, evaluate
 from stratkit.laws import (
     LAWS,
     NONLAWS,
@@ -29,10 +29,6 @@ from stratkit.strategies import FAIL, ID, Choice, RuleRef, Seq
 from stratkit.terms import Node, depth, sort_of, validate_term
 
 SMALL = GenConfig(cases=150)
-
-
-def _eval(s, t, sig, fuel=2000):
-    return CompiledStrategy(s, sig).run(t, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +96,7 @@ def test_all_laws_hold(sig, rules):
     assert [r.name for r in results] == [law.name for law in LAWS]
     for r in results:
         assert r.passed, r.line()
-        assert r.counterexample is None
+        assert (r.kind, r.detail) == ("LAW", "")
         assert r.line() == f"LAW {r.name} PASS"
         assert r.discards / r.cases < 0.10, r.line()
 
@@ -116,8 +112,8 @@ def test_a_false_law_fails_with_a_shrunk_case(sig, rules, monkeypatch):
     monkeypatch.setattr(laws, "LAWS", (bogus,))
     (r,) = check_laws(sig, list(rules.values()), SMALL)
     assert not r.passed
-    assert r.counterexample and "s1=" in r.counterexample and "t=" in r.counterexample
-    assert r.line().startswith("LAW bogus-choice-commutes FAIL")
+    assert "s1=" in r.detail and "t=" in r.detail
+    assert r.line() == f"LAW bogus-choice-commutes FAIL {r.detail}"
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +134,22 @@ NONLAW_LINES = [
 
 
 def test_nonlaw_search_finds_all_three(sig, rules):
+    assert {n.term_condition for n in NONLAWS} == {None}
     results = find_nonlaw_counterexamples(sig, list(rules.values()))
     assert [r.name for r in results] == [n.name for n in NONLAWS]
     assert [r.line() for r in results] == NONLAW_LINES
+    assert all(r.passed for r in results)
+
+
+def test_a_nonlaw_without_counterexample_fails(sig, rules, monkeypatch):
+    # a true equality searched as a non-law: no counterexample exists
+    monkeypatch.setattr(laws, "NONLAWS", LAWS[:1])
+    (r,) = find_nonlaw_counterexamples(sig, list(rules.values()))
+    assert r.counterexample is None and not r.passed
+    assert r.line() == "NONLAW seq-unit-left NO-COUNTEREXAMPLE"
+    # the verdict follows the field, as for a result edited in place
+    r.counterexample = "x"
+    assert r.passed
 
 
 @pytest.mark.parametrize("slots, stride", [(2, 1), (3, 5)])
@@ -162,19 +171,19 @@ def test_hand_picked_witnesses_refute_each_nonlaw(sig, rules):
 
     # seq is not commutative: increment;dropSucc succeeds on Zero,
     # dropSucc;increment does not
-    assert isinstance(_eval(Seq(inc, drop), ZERO, sig), Success)
-    assert isinstance(_eval(Seq(drop, inc), ZERO, sig), Failure)
+    assert isinstance(evaluate(Seq(inc, drop), ZERO, sig), Success)
+    assert isinstance(evaluate(Seq(drop, inc), ZERO, sig), Failure)
 
     # choice is not commutative: the left branch is preferred
-    left = _eval(Choice(ID, inc), ZERO, sig)
-    right = _eval(Choice(inc, ID), ZERO, sig)
+    left = evaluate(Choice(ID, inc), ZERO, sig)
+    right = evaluate(Choice(inc, ID), ZERO, sig)
     assert left.term == ZERO
     assert right.term == Node("Succ", (ZERO,))
 
     # seq does not distribute over choice on the right: committed
     # choice cannot backtrack into the second branch
-    lhs = _eval(Seq(Choice(ID, inc), drop), ZERO, sig)
-    rhs = _eval(Choice(Seq(ID, drop), Seq(inc, drop)), ZERO, sig)
+    lhs = evaluate(Seq(Choice(ID, inc), drop), ZERO, sig)
+    rhs = evaluate(Choice(Seq(ID, drop), Seq(inc, drop)), ZERO, sig)
     assert isinstance(lhs, Failure)
     assert isinstance(rhs, Success) and rhs.term == ZERO
 
@@ -218,8 +227,8 @@ def test_scheme_property_results_are_pinned(sig, rules, seed):
     discards = dict.fromkeys(SCHEME_PROPERTIES, 0)
     discards["innermost-never-fails"] = innermost
     discards["full_td-infallible-arg"] = full_td
-    assert [(r.name, r.passed, r.cases, r.discards, r.detail) for r in results] == [
-        (name, True, 300, n, "") for name, n in discards.items()
+    assert [(r.kind, r.name, r.passed, r.cases, r.discards, r.detail) for r in results] == [
+        ("PROPERTY", name, True, 300, n, "") for name, n in discards.items()
     ]
 
 
@@ -242,7 +251,7 @@ def test_scheme_properties_report_counterexamples_and_missing_witnesses(
     sig, rules, monkeypatch, outcome, passing, discards
 ):
     monkeypatch.setattr(
-        laws, "_eval", lambda s, t, sig, fuel: outcome or Success(t)
+        laws, "evaluate", lambda s, t, sig, fuel: outcome or Success(t)
     )
     results = check_scheme_properties(sig, list(rules.values()), GenConfig(cases=20))
     assert [r.name for r in results] == list(SCHEME_PROPERTIES)
@@ -261,9 +270,20 @@ def test_scheme_properties_report_counterexamples_and_missing_witnesses(
 
 def test_soundness_smoke(sig, rules):
     result = check_soundness(sig, list(rules.values()), GenConfig(cases=60), runs=300)
-    assert result.failures == 0
+    assert result.failures == 0 and result.passed
     assert result.runs == 300
     assert "typed-infallible-never-fails PASS" in result.line()
+    result.failures = 1
+    assert not result.passed
+    assert "typed-infallible-never-fails FAIL" in result.line()
+
+
+def test_only_seed_and_cases_are_settable():
+    assert GenConfig.__match_args__ == ("seed", "cases")
+    cfg = GenConfig(seed=1, cases=2)
+    assert (cfg.max_term_depth, cfg.max_strategy_size, cfg.fuel) == (5, 7, 2000)
+    with pytest.raises(TypeError):
+        GenConfig(fuel=10)
 
 
 def test_builtin_corpus_is_reusable():

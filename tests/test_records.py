@@ -25,9 +25,7 @@ from stratkit.termination import DEPTH, CountComponent, Measure
 MODULES = ("terms", "strategies", "interp", "queries", "termination", "dsl", "laws")
 
 #: the records that were plain (non-frozen) dataclasses
-MUTABLE = {
-    "Program", "QueryProgram", "LawResult", "NonlawResult", "PropertyResult", "SoundnessResult",
-}
+MUTABLE = {"Program", "QueryProgram", "SampledResult", "NonlawResult", "SoundnessResult"}
 
 
 def record_classes():
@@ -52,9 +50,7 @@ def fields(cls):
 def twin(cls):
     specs = []
     for name, default in fields(cls):
-        if isinstance(default, records.factory):
-            default = dataclasses.field(default_factory=default.make)
-        elif default is not dataclasses.MISSING:
+        if default is not dataclasses.MISSING:
             default = dataclasses.field(default=default)
         specs.append((name, object) if default is dataclasses.MISSING else (name, object, default))
     namespace = {}
@@ -88,8 +84,8 @@ values = st.recursive(scalars, lambda sub: st.tuples(sub, sub), max_leaves=4)
 
 
 def test_every_record_class_is_found():
-    # 38 frozen and 6 mutable records, as there were dataclasses
-    assert len(RECORDS) == 44
+    # 37 frozen and 5 mutable records
+    assert len(RECORDS) == 42
     assert MUTABLE <= {cls.__name__ for cls in RECORDS}
     assert "dataclasses" not in dir(records)
 
@@ -143,18 +139,6 @@ def test_defaults_match_the_twin(cls):
     assert [getattr(a, n) for n in cls.__match_args__] == [
         getattr(ta, n) for n in cls.__match_args__
     ]
-
-
-@pytest.mark.parametrize("name", ["Program", "QueryProgram"])
-def test_each_program_gets_its_own_lints_list(name):
-    cls = next(c for c in RECORDS if c.__name__ == name)
-    args = ["v"] * (len(cls.__match_args__) - 1)
-    a, b = cls(*args), cls(*args)
-    assert a.lints == [] and a.lints is not b.lints
-    a.lints.append("x")
-    assert b.lints == []
-    given_lints = ["y"]
-    assert cls(*args, lints=given_lints).lints is given_lints
 
 
 @pytest.mark.parametrize(

@@ -185,30 +185,30 @@ def test_composite_rule_effects(rules):
 
 def test_claims_override_only_when_they_fit(rules):
     claimed = RuleDef(
-        "c", "Nat", PVar("n"), PNode("Succ", (PVar("n"),)), effect_claim=("any",)
+        "c", "Nat", PVar("n"), PNode("Succ", (PVar("n"),)), effect_claim=(ANY,)
     )
     assert rule_effect(claimed, DEPTH_MEASURE) == (ANY,)
     # wrong arity: the claim is ignored, the checked effect used
     wrong = RuleDef(
         "w", "Nat", PNode("Succ", (PVar("n"),)), PVar("n"),
-        effect_claim=("less", "any"),
+        effect_claim=(LESS, ANY),
     )
     assert rule_effect(wrong, DEPTH_MEASURE) == (LESS,)
 
 
 def test_verify_annotations(rules):
     ok = RuleDef(
-        "ok", "Nat", PNode("Succ", (PVar("n"),)), PVar("n"), effect_claim=("leq",)
+        "ok", "Nat", PNode("Succ", (PVar("n"),)), PVar("n"), effect_claim=(LEQ,)
     )
     assert verify_annotations([ok], DEPTH_MEASURE) == []  # weaker claim is fine
     bad = RuleDef(
-        "bad", "Nat", PVar("n"), PNode("Succ", (PVar("n"),)), effect_claim=("less",)
+        "bad", "Nat", PVar("n"), PNode("Succ", (PVar("n"),)), effect_claim=(LESS,)
     )
     msgs = verify_annotations([bad, ok], DEPTH_MEASURE)
     assert len(msgs) == 1
     assert "claims [Less]" in msgs[0] and "only support [Any]" in msgs[0]
     short = RuleDef(
-        "short", "Nat", PVar("n"), PVar("n"), effect_claim=("leq", "leq")
+        "short", "Nat", PVar("n"), PVar("n"), effect_claim=(LEQ, LEQ)
     )
     msgs = verify_annotations([short], DEPTH_MEASURE)
     assert len(msgs) == 1 and "components" in msgs[0]
