@@ -1,15 +1,39 @@
 """Strategy evaluation.
 
-Strategies are compiled once to nested opcode tuples and then run by an
-explicit-stack machine, for two reasons. First, rewriting must survive
+Strategies are compiled once to a graph of instructions and then run by
+an explicit-stack machine, for two reasons. First, rewriting must survive
 terms (and traversal depths) far beyond CPython's recursion limit.
-Second, evaluation is metered: every dispatch of a strategy against a
-term costs one unit of fuel, and running out is reported as its own
-outcome rather than hanging on a divergent strategy.
+Second, evaluation is metered: running out of fuel is reported as its
+own outcome rather than hanging on a divergent strategy.
 
-Recursion is resolved at compile time. Each `rec` binder becomes a cell
-whose code field is tied back into the instruction graph, so variable
-reference is a plain jump and the machine needs no environment.
+One unit of fuel is one dispatch of a strategy construct against a term:
+`id`, `fail`, `;`, `<+`, `all`, `one`, a rule, `adhoc`, and a reference
+to a `rec` variable each cost one unit, and `rec` itself is free. The
+machine dispatches less often than that. An instruction is a list
+`[op, cost, ...]`, and the loop head charges its cost:
+
+- Linked variables. Each reference to a `rec` variable is, from link
+  time on, a copy of its binder's instruction with cost + 1, so a
+  reference is no dispatch of its own and the machine needs no
+  environment. Only a pure variable cycle (`rec x. x`) keeps `OP_VAR`,
+  a jump to itself.
+- Superoperators for the shapes that the derived schemes produce:
+  - `s <+ id`, the `try` of `repeat` and `innermost`, is `OP_TRY`: a
+    light frame that holds the term and charges `id`'s unit only when
+    `s` fails;
+  - `adhoc(d, r) ; s`, the body of `full_td` over `adhoc`, is an
+    `OP_ADHOC` with a next instruction: when the rule fires, the machine
+    goes on to `s` with no sequence frame;
+  - `one(x) <+ s`, the body of `once_bu`, is an `OP_ONE` with a
+    fallback: one frame per level instead of a choice frame and a `one`
+    frame, and a unary node is rebuilt without copying its children.
+
+The charging rule keeps fuel step-exact. A fused instruction charges, at
+its head, the units that its constructs charge before the first
+observable effect: a sort lookup, a rule application or a trace update.
+Units that they charge later are charged at that later point, such as
+the `id` of a `try` after its body failed. So every budget gives the
+same outcome, term, trace and error as a dispatch per construct would.
 """
 
 from __future__ import annotations
@@ -62,21 +86,17 @@ Outcome = Success | Failure | FuelExhausted
 
 _FAILED = object()
 
-OP_ID = 0
-OP_FAIL = 1
-OP_SEQ = 2
-OP_CHOICE = 3
-OP_ALL = 4
-OP_ONE = 5
-OP_VAR = 6
-OP_RULE = 7
-OP_ADHOC = 8
-
-
-class _Cell:
-    """Back-patched jump target for one rec binder."""
-
-    __slots__ = ("code",)
+# Opcodes: an instruction is [op, cost, *fields].
+OP_ID = 0  # []
+OP_FAIL = 1  # []
+OP_SEQ = 2  # [left, right]
+OP_CHOICE = 3  # [left, right]
+OP_ALL = 4  # [body]
+OP_ONE = 5  # [body, fallback or None]
+OP_VAR = 6  # [target]: only a pure variable cycle, targeting itself
+OP_RULE = 7  # [applier, rule names, sort]
+OP_ADHOC = 8  # [default, sort, applier, rule names, next or None]
+OP_TRY = 9  # [body]
 
 
 # ---------------------------------------------------------------------------
@@ -118,37 +138,51 @@ def compile_rule(rule: Rule):
 # Strategy compilation
 
 
-def _compile(s: Strategy, env: dict[str, _Cell]):
+def _compile(s: Strategy, env: dict[str, list]):
+    """Step on strategies.walk: the instruction for s. env maps each
+    variable in scope to the references to it compiled so far, which its
+    binder's Rec step links."""
     if isinstance(s, Id):
-        return (OP_ID,)
+        return [OP_ID, 1]
     if isinstance(s, Fail):
-        return (OP_FAIL,)
+        return [OP_FAIL, 1]
     if isinstance(s, Seq):
-        return (OP_SEQ, (yield s.left, env), (yield s.right, env))
+        left = yield s.left, env
+        right = yield s.right, env
+        if left[0] == OP_ADHOC and left[6] is None:  # adhoc(d, r) ; s
+            return [OP_ADHOC, left[1] + 1, *left[2:6], right]
+        return [OP_SEQ, 1, left, right]
     if isinstance(s, Choice):
-        return (OP_CHOICE, (yield s.left, env), (yield s.right, env))
+        left = yield s.left, env
+        right = yield s.right, env
+        if right[0] == OP_ID and right[1] == 1:  # try(s)
+            return [OP_TRY, 1, left]
+        if left[0] == OP_ONE and left[3] is None:  # one(x) <+ s
+            return [OP_ONE, left[1] + 1, left[2], right]
+        return [OP_CHOICE, 1, left, right]
     if isinstance(s, All):
-        return (OP_ALL, (yield s.body, env))
+        return [OP_ALL, 1, (yield s.body, env)]
     if isinstance(s, One):
-        return (OP_ONE, (yield s.body, env))
+        return [OP_ONE, 1, (yield s.body, env), None]
     if isinstance(s, Var):
-        return (OP_VAR, lookup(env, s.name))
+        ref = [OP_VAR, 1, None]
+        lookup(env, s.name).append(ref)
+        return ref
     if isinstance(s, Rec):
-        cell = _Cell()
-        inner = dict(env)
-        inner[s.name] = cell
-        cell.code = yield s.body, inner
-        return cell.code
+        refs = []
+        code = yield s.body, {**env, s.name: refs}
+        for ref in refs:
+            if ref is code:  # rec x. x, also through rec x. rec y. x
+                ref[2] = ref
+            else:
+                ref[:] = code
+                ref[1] += 1
+        return code
     if isinstance(s, RuleRef):
-        return (OP_RULE, compile_rule(s.rule), rule_names(s.rule), s.rule.sort)
+        return [OP_RULE, 1, compile_rule(s.rule), rule_names(s.rule), s.rule.sort]
     if isinstance(s, Adhoc):
-        return (
-            OP_ADHOC,
-            (yield s.default, env),
-            s.rule.sort,
-            compile_rule(s.rule),
-            rule_names(s.rule),
-        )
+        default = yield s.default, env
+        return [OP_ADHOC, 1, default, s.rule.sort, compile_rule(s.rule), rule_names(s.rule), None]
     raise EngineError(f"cannot compile {s!r}")
 
 
@@ -199,11 +233,13 @@ def evaluate(
     return CompiledStrategy(strategy, sig).run(term, fuel, trace)
 
 
-# Continuation tags. The machine keeps one list of frames; tag 0 waits
-# for a sequence's left result, 1 holds a choice's fallback with the
-# original term, 2 collects rebuilt children for all, 3 walks children
-# for one. Traversal frames (2 and 3) are mutable lists advanced in
-# place: a deep descent keeps one live frame per level, and per-frame
+# Continuation frames. The machine keeps one list of frames, tagged in
+# slot 0: 0 waits for a sequence's left result, 1 holds a choice's
+# fallback with the original term, 2 collects rebuilt children for all,
+# 3 walks children for one (and holds its fallback, if fused), and 4
+# holds a try's term, to return it for the unit of id when the body
+# fails. Traversal frames (2 and 3) are mutable lists advanced in place:
+# a deep descent keeps one live frame per level, and per-frame
 # reallocation was the dominant gc load on chain-shaped terms.
 
 
@@ -220,66 +256,78 @@ def _execute(code, term, fuel, constr_sort, trace):
     while True:
         # evaluate (code, t) down to a result in val
         while True:
-            fuel -= 1
+            fuel -= code[1]
             if fuel < 0:
                 return None
             op = code[0]
-            if op == 2:  # SEQ
-                append((0, code[2]))
-                code = code[1]
-            elif op == 8:  # ADHOC
+            if op == 8:  # ADHOC, then its next instruction if any
                 ts = t.sort if type(t) is lit_t else constr_sort[t.constr]
-                if ts != code[2]:
-                    code = code[1]
-                else:
-                    out = code[3](t)
-                    if out is None:
-                        val = failed
-                    else:
-                        val = out
-                        if trace is not None:
-                            trace.update(code[4])
+                if ts != code[3]:
+                    if code[6] is not None:
+                        append((0, code[6]))
+                    code = code[2]
+                    continue
+                out = code[4](t)
+                if out is None:
+                    val = failed
                     break
+                if trace is not None:
+                    trace.update(code[5])
+                if code[6] is None:
+                    val = out
+                    break
+                t = out
+                code = code[6]
+            elif op == 5:  # ONE, then its fallback if any
+                ch = t.children
+                if ch:
+                    body = code[2]
+                    # frame layout: [tag, body, node, idx, fallback]
+                    append([3, body, t, 0, code[3]])
+                    code = body
+                    t = ch[0]
+                elif code[3] is None:
+                    val = failed
+                    break
+                else:
+                    code = code[3]
             elif op == 4:  # ALL
                 ch = t.children
                 if not ch:
                     val = t
                     break
-                body = code[1]
+                body = code[2]
                 # frame layout: [tag, body, node, idx, *rebuilt children]
                 append([2, body, t, 0])
                 code = body
                 t = ch[0]
-            elif op == 6:  # VAR
-                code = code[1].code
+            elif op == 2:  # SEQ
+                append((0, code[3]))
+                code = code[2]
+            elif op == 9:  # TRY
+                append((4, t))
+                code = code[2]
             elif op == 3:  # CHOICE
-                append((1, code[2], t))
-                code = code[1]
+                append((1, code[3], t))
+                code = code[2]
             elif op == 0:  # ID
                 val = t
                 break
             elif op == 1:  # FAIL
                 val = failed
                 break
-            elif op == 5:  # ONE
-                ch = t.children
-                if not ch:
-                    val = failed
-                    break
-                body = code[1]
-                append([3, body, t, 0])
-                code = body
-                t = ch[0]
-            else:  # RULE
+            elif op == 7:  # RULE
                 ts = t.sort if type(t) is lit_t else constr_sort[t.constr]
-                out = code[1](t) if ts == code[3] else None
+                out = code[2](t) if ts == code[4] else None
                 if out is None:
                     val = failed
                 else:
                     val = out
                     if trace is not None:
-                        trace.update(code[2])
+                        trace.update(code[3])
                 break
+            else:  # VAR
+                code = code[2]
 
         # hand val to the pending continuations
         while True:
@@ -287,55 +335,68 @@ def _execute(code, term, fuel, constr_sort, trace):
                 return val
             frame = pop()
             k = frame[0]
+            if k == 3:  # searching children of one
+                node = frame[2]
+                idx = frame[3]
+                ch = node.children
+                if val is failed:
+                    idx += 1
+                    if idx < len(ch):
+                        frame[3] = idx
+                        append(frame)
+                        code = frame[1]
+                        t = ch[idx]
+                        break
+                    if frame[4] is None:
+                        continue
+                    code = frame[4]
+                    t = node
+                    break
+                if val is ch[idx]:
+                    val = node
+                elif len(ch) == 1:
+                    val = node_t(node.constr, (val,))
+                else:
+                    rebuilt = list(ch)
+                    rebuilt[idx] = val
+                    val = node_t(node.constr, tuple(rebuilt))
+                continue
             if k == 0:  # after left of a sequence
                 if val is failed:
                     continue
                 code = frame[1]
                 t = val
                 break
+            if k == 4:  # try: id on the original term
+                if val is failed:
+                    fuel -= 1
+                    if fuel < 0:
+                        return None
+                    val = frame[1]
+                continue
             if k == 1:  # choice fallback
                 if val is failed:
                     code = frame[1]
                     t = frame[2]
                     break
                 continue
-            if k == 2:  # collecting children of all
-                if val is failed:
-                    continue
-                frame.append(val)
-                node = frame[2]
-                idx = frame[3] + 1
-                ch = node.children
-                if idx == len(ch):
-                    for i, c in enumerate(ch):
-                        if frame[4 + i] is not c:
-                            val = node_t(node.constr, tuple(frame[4:]))
-                            break
-                    else:
-                        val = node
-                    continue
-                frame[3] = idx
-                append(frame)
-                code = frame[1]
-                t = ch[idx]
-                break
-            # k == 3: searching children of one
-            node = frame[2]
-            idx = frame[3]
-            ch = node.children
+            # k == 2: collecting children of all
             if val is failed:
-                idx += 1
-                if idx == len(ch):
-                    continue
-                frame[3] = idx
-                append(frame)
-                code = frame[1]
-                t = ch[idx]
-                break
-            if val is ch[idx]:
-                val = node
-            else:
-                rebuilt = list(ch)
-                rebuilt[idx] = val
-                val = node_t(node.constr, tuple(rebuilt))
-            continue
+                continue
+            frame.append(val)
+            node = frame[2]
+            idx = frame[3] + 1
+            ch = node.children
+            if idx == len(ch):
+                for i, c in enumerate(ch):
+                    if frame[4 + i] is not c:
+                        val = node_t(node.constr, tuple(frame[4:]))
+                        break
+                else:
+                    val = node
+                continue
+            frame[3] = idx
+            append(frame)
+            code = frame[1]
+            t = ch[idx]
+            break

@@ -210,7 +210,8 @@ def match(p: Pattern, t: Term) -> dict[str, Term] | None:
             seen = binding.get(pp.name)
             if seen is None:
                 binding[pp.name] = tt
-            elif not term_eq(seen, tt):
+            # hashes are structural: unequal ones settle it in O(1)
+            elif seen._hash != tt._hash or not term_eq(seen, tt):
                 return None
         elif isinstance(pp, PLit):
             if (

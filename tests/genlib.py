@@ -22,7 +22,7 @@ from stratkit.strategies import (
     Var,
 )
 from stratkit.errors import TermError
-from stratkit.terms import Lit, Node, PLit, PVar, match, sort_of
+from stratkit.terms import Lit, Node, PLit, PVar, sort_of
 
 
 def instantiate(p, subst):
@@ -38,6 +38,43 @@ def instantiate(p, subst):
     return Node(p.constr, tuple(instantiate(c, subst) for c in p.children))
 
 
+def same_term(a, b):
+    """Structural equality, the naive recursive way: literals equal in
+    sort, payload kind and payload; nodes in constructor and children."""
+    if isinstance(a, Lit) or isinstance(b, Lit):
+        return (
+            isinstance(a, Lit)
+            and isinstance(b, Lit)
+            and a.sort == b.sort
+            and type(a.value) is type(b.value)
+            and a.value == b.value
+        )
+    return (
+        a.constr == b.constr
+        and len(a.children) == len(b.children)
+        and all(same_term(x, y) for x, y in zip(a.children, b.children))
+    )
+
+
+def ref_match(p, t, binding=None):
+    """The substitution with p[theta] == t, or None, written the naive
+    recursive way: the reference for `stratkit.terms.match`. A repeated
+    variable needs structurally equal bindings."""
+    binding = {} if binding is None else binding
+    if isinstance(p, PVar):
+        seen = binding.setdefault(p.name, t)
+        return binding if seen is t or same_term(seen, t) else None
+    if isinstance(p, PLit):
+        ok = isinstance(t, Lit) and same_term(Lit(p.value, p.sort), t)
+        return binding if ok else None
+    if not isinstance(t, Node) or t.constr != p.constr or len(t.children) != len(p.children):
+        return None
+    for pc, tc in zip(p.children, t.children):
+        if ref_match(pc, tc, binding) is None:
+            return None
+    return binding
+
+
 def apply_rule(rule, t, sig):
     """One rule application at the root, or None: the rule semantics
     the compiled appliers of `stratkit.interp` are tested against. Sort
@@ -46,7 +83,7 @@ def apply_rule(rule, t, sig):
     if isinstance(rule, RuleDef):
         if sort_of(sig, t) != rule.sort:
             return None
-        binding = match(rule.lhs, t)
+        binding = ref_match(rule.lhs, t)
         if binding is None:
             return None
         if rule.guard is not None and not GUARDS[rule.guard](t):

@@ -7,7 +7,7 @@ the library versions are iterative.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stratkit.errors import SignatureError, TermError
@@ -31,8 +31,8 @@ from stratkit.terms import (
     validate_term,
 )
 
-from genlib import instantiate, nat, nat_trees as trees, natlist, nats
-from stratkit.strategies import GUARDS
+from genlib import apply_rule, instantiate, nat, nat_trees as trees, natlist, nats, ref_match
+from stratkit.strategies import GUARDS, RuleDef
 
 # ---------------------------------------------------------------------------
 # Naive recursive oracles
@@ -229,6 +229,63 @@ def test_compile_rewrite_agrees_with_match_and_instantiate(data):
         got = rewrite(t)
         # repr tells a literal 1 from 1.0
         assert repr(got) == repr(want)
+
+
+_SMALL_SIG = Signature(
+    ["U", "S", "T"],
+    [
+        Symbol("F", ("U", "U"), "U"),
+        Symbol("G", ("U",), "U"),
+        Symbol("A", (), "U"),
+        Symbol("B", (), "U"),
+    ],
+    {"S": "int", "T": "int"},
+)
+
+
+def _instance(p, pick):
+    """p with each variable occurrence replaced by pick(name), so that
+    repeated variables can get distinct (equal or unequal) terms."""
+    if isinstance(p, PVar):
+        return pick(p.name)
+    if isinstance(p, PLit):
+        return Lit(p.value, p.sort)
+    return Node(p.constr, tuple(_instance(c, pick) for c in p.children))
+
+
+def _copy(t):
+    """A term equal to t that shares no object with it."""
+    if isinstance(t, Lit):
+        return Lit(t.value, t.sort)
+    return Node(t.constr, tuple(_copy(c) for c in t.children))
+
+
+def _occurrences(p):
+    if isinstance(p, PVar):
+        return [p.name]
+    return [v for c in getattr(p, "children", ()) for v in _occurrences(c)]
+
+
+@given(st.data())
+def test_a_non_linear_rule_applies_as_the_reference(data):
+    sides = st.one_of(st.just(PVar("x")), _patterns({"x", "y"}))
+    lhs = PNode("F", (data.draw(sides), data.draw(sides)))
+    names = _occurrences(lhs)
+    assume(len(names) > len(set(names)))
+    rhs = data.draw(_patterns(set(names)))
+    rule = RuleDef("r", "U", lhs, rhs)
+    rewrite = compile_rewrite(lhs, rhs)
+    binding = {v: data.draw(_small_terms) for v in sorted(set(names))}
+    others = st.sampled_from(sorted(binding)).map(lambda v: binding[v])
+    # every occurrence an equal copy, or some of them another term
+    for pick in (
+        lambda v: _copy(binding[v]),
+        lambda v: _copy(data.draw(st.one_of(st.just(binding[v]), others, _small_terms))),
+    ):
+        t = _instance(lhs, pick)
+        assert match(lhs, t) == ref_match(lhs, t)
+        # repr tells a literal 1 from 1.0
+        assert repr(rewrite(t)) == repr(apply_rule(rule, t, _SMALL_SIG))
 
 
 def test_pattern_vars_collects_all_names():

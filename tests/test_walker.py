@@ -5,7 +5,8 @@ strategies with rec binders (nested and shadowing), bound and free
 variables, and adhoc defaults, every function ported onto
 `strategies.walk` must give the same result, print the same text, or
 raise the same exception with the same message. The compiler is compared
-through the outcomes of running the code it builds.
+through the outcomes of running the code it builds, against the
+step-counting reference semantics in step_oracle.py.
 
 One difference is intended: the linearity lint used to skip the whole
 body of a rec that rebinds a parameter's name. The comparison leaves
@@ -18,11 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import step_oracle
 import walker_oracle as oracle
 from genlib import nat, terms
 from stratkit.dsl import Def, _param_linearity_lints
 from stratkit.fallibility import Sf, scan_dead_choices, sf_analyse, sf_type_of
-from stratkit.interp import _FAILED, CompiledStrategy, Failure, FuelExhausted, Success, _execute
+from stratkit.interp import CompiledStrategy, Success
 from stratkit.laws import _adhocify, builtin_rules, builtin_signature
 from stratkit.reachability import _rule_map, dead_case_report, mentioned_cases, reach_analyse
 from stratkit.strategies import (
@@ -221,14 +223,6 @@ def test_termination_matches_the_oracle(s, m, effects, r):
 # The compiler, through what its code does
 
 
-def old_run(s, t, trace):
-    code = oracle._compile(s, SIG, {})
-    out = _execute(code, t, FUEL, SIG.constr_sort, trace)
-    if out is None:
-        return FuelExhausted(FUEL)
-    return Failure() if out is _FAILED else Success(out)
-
-
 @settings(deadline=None)
 @given(strategies(), terms)
 def test_compiled_code_runs_as_the_oracle_code(s, t):
@@ -237,11 +231,11 @@ def test_compiled_code_runs_as_the_oracle_code(s, t):
     for name in sorted(oracle.free_vars(s)):
         closed = Rec(name, closed)
     for strategy in (s, closed):
-        new_trace, old_trace = set(), set()
+        new_trace, ref_trace = set(), set()
         new = outcome(lambda: CompiledStrategy(strategy, SIG).run(t, FUEL, new_trace))
-        old = outcome(old_run, strategy, t, old_trace)
-        assert new == old
-        assert new_trace == old_trace
+        ref = outcome(step_oracle.run, strategy, t, SIG, FUEL, ref_trace)
+        assert new == ref
+        assert new_trace == ref_trace
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 ladders that `stratkit` replaced with steps on `strategies.walk`, kept
 verbatim. Only the imports changed: each call names the copy in this
 module, and the `ANY` of fallibility and of termination are told apart
-as `ANY_SF` and `ANY_REL`. The compiler also builds the machine's
-current rule opcodes. They recurse on the Python stack, so they serve
-small generated strategies only.
+as `ANY_SF` and `ANY_REL`. They recurse on the Python stack, so they
+serve small generated strategies only.
 
 test_walker.py holds the walk-based code to their results, printed text
 and exceptions.
@@ -25,19 +24,6 @@ from stratkit.fallibility import (
     rule_infallible,
     sf_choice,
     sf_seq,
-)
-from stratkit.interp import (
-    OP_ADHOC,
-    OP_ALL,
-    OP_CHOICE,
-    OP_FAIL,
-    OP_ID,
-    OP_ONE,
-    OP_RULE,
-    OP_SEQ,
-    OP_VAR,
-    _Cell,
-    compile_rule,
 )
 from stratkit.reachability import ReachMap, _rule_map, reach_bottom, reach_lub, reach_transform
 from stratkit.strategies import (
@@ -168,47 +154,6 @@ def _print(s: Strategy, min_prec: int) -> str:
         text = f"{_print(s.left, 0)} <+ {_print(s.right, 1)}"
         return f"({text})" if min_prec > 0 else text
     raise StratkitError(f"cannot print {s!r}")
-
-
-# ---------------------------------------------------------------------------
-# interp
-
-
-def _compile(s: Strategy, sig: Signature, env: dict[str, _Cell]):
-    if isinstance(s, Id):
-        return (OP_ID,)
-    if isinstance(s, Fail):
-        return (OP_FAIL,)
-    if isinstance(s, Seq):
-        return (OP_SEQ, _compile(s.left, sig, env), _compile(s.right, sig, env))
-    if isinstance(s, Choice):
-        return (OP_CHOICE, _compile(s.left, sig, env), _compile(s.right, sig, env))
-    if isinstance(s, All):
-        return (OP_ALL, _compile(s.body, sig, env))
-    if isinstance(s, One):
-        return (OP_ONE, _compile(s.body, sig, env))
-    if isinstance(s, Var):
-        cell = env.get(s.name)
-        if cell is None:
-            raise EngineError(f"unbound strategy variable {s.name!r}")
-        return (OP_VAR, cell)
-    if isinstance(s, Rec):
-        cell = _Cell()
-        inner = dict(env)
-        inner[s.name] = cell
-        cell.code = _compile(s.body, sig, inner)
-        return cell.code
-    if isinstance(s, RuleRef):
-        return (OP_RULE, compile_rule(s.rule), rule_names(s.rule), s.rule.sort)
-    if isinstance(s, Adhoc):
-        return (
-            OP_ADHOC,
-            _compile(s.default, sig, env),
-            s.rule.sort,
-            compile_rule(s.rule),
-            rule_names(s.rule),
-        )
-    raise EngineError(f"cannot compile {s!r}")
 
 
 # ---------------------------------------------------------------------------
