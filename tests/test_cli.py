@@ -618,6 +618,16 @@ def test_bad_measure_spec(fixtures_dir):
     assert result.exit_code == 2
 
 
+def test_a_measure_with_depth_twice_is_rejected_by_message(fixtures_dir):
+    result = invoke(
+        fixtures_dir,
+        ["analyze", "termination", "nat_tree.sig", "programs/diverge.strat",
+         "--measure", "depth,depth"],
+    )
+    message = "depth may appear only once, in last position\n"
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", message)
+
+
 def test_unknown_reach_root(fixtures_dir):
     result = invoke(
         fixtures_dir,

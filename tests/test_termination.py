@@ -133,12 +133,28 @@ def test_parse_measure_and_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["count:Succ", "depth,count:Succ", "depth,depth", "count:,depth", "size"],
+    "text, message",
+    [
+        # each part is checked in turn, before the place of depth
+        ("count:,size", "count component needs a constructor name"),
+        ("size,count:", "unknown measure component 'size'"),
+        ("count:,depth", "count component needs a constructor name"),
+        ("", "unknown measure component ''"),
+        ("count:Succ", "measure must end with the depth component"),
+        ("depth,count:Succ", "measure must end with the depth component"),
+        ("depth,depth", "depth may appear only once, in last position"),
+        ("count:A,depth,depth", "depth may appear only once, in last position"),
+    ],
 )
-def test_measure_validation(text):
-    with pytest.raises(ParseError):
+def test_measure_validation(text, message):
+    with pytest.raises(ParseError) as info:
         parse_measure(text)
+    assert str(info.value) == message
+
+
+def test_measure_parts_are_read_without_surrounding_blanks():
+    assert str(parse_measure("count: Succ ,depth")) == "count:Succ,depth"
+    assert parse_measure("count: Succ ,depth") == parse_measure("count:Succ,depth")
 
 
 def test_parse_rel_and_show_vec():
