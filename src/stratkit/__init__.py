@@ -27,9 +27,8 @@ _EXPORTS = {
         compile_query get_monoid run_query""",
     "fallibility": "Sf scan_dead_choices sf_analyse sf_choice sf_seq sf_type_of",
     "reachability": "ReachMap dead_case_report mentioned_cases reach_analyse reach_transform",
-    "termination": """CountComponent DEPTH_MEASURE DepthComponent Measure Rel RelVec
-        leqs parse_measure rule_effect rule_effect_check term_analyse term_type_of
-        verify_annotations""",
+    "termination": """DEPTH_MEASURE Measure Rel RelVec leqs parse_measure rule_effect
+        rule_effect_check term_analyse term_type_of verify_annotations""",
     "laws": """LAWS NONLAWS GenConfig builtin_rules builtin_signature check_laws
         check_scheme_properties check_soundness find_nonlaw_counterexamples
         gen_strategy gen_term""",

@@ -88,9 +88,9 @@ def _measure(text: str, sig):
     from .termination import parse_measure
 
     m = parse_measure(text)
-    for c in m.components[:-1]:
-        if c.constr not in sig.by_constr:
-            raise SignatureError(f"measure {text!r} counts an unknown constructor {c.constr!r}")
+    for constr in m.counts:
+        if constr not in sig.by_constr:
+            raise SignatureError(f"measure {text!r} counts an unknown constructor {constr!r}")
     return m
 
 

@@ -43,9 +43,7 @@ class LoadError(StratkitError):
     all of them, not just the first.
     """
 
-    def __init__(self, diagnostics):
-        if isinstance(diagnostics, str):
-            diagnostics = [diagnostics]
+    def __init__(self, diagnostics: list[str]):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(self.diagnostics))
 

@@ -23,7 +23,9 @@ machine dispatches less often than that. An instruction is a list
     `s` fails;
   - `adhoc(d, r) ; s`, the body of `full_td` over `adhoc`, is an
     `OP_ADHOC` with a next instruction: when the rule fires, the machine
-    goes on to `s` with no sequence frame;
+    goes on to `s` with no sequence frame. A bare rule `r` is an
+    `OP_ADHOC` without a default, which fails at once on another sort,
+    so `r ; s` is fused the same way;
   - `one(x) <+ s`, the body of `once_bu`, is an `OP_ONE` with a
     fallback: one frame per level instead of a choice frame and a `one`
     frame, and a unary node is rebuilt without copying its children.
@@ -94,9 +96,8 @@ OP_CHOICE = 3  # [left, right]
 OP_ALL = 4  # [body]
 OP_ONE = 5  # [body, fallback or None]
 OP_VAR = 6  # [target]: only a pure variable cycle, targeting itself
-OP_RULE = 7  # [applier, rule names, sort]
-OP_ADHOC = 8  # [default, sort, applier, rule names, next or None]
-OP_TRY = 9  # [body]
+OP_ADHOC = 7  # [default or None, sort, applier, rule names, next or None]
+OP_TRY = 8  # [body]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,7 @@ def _compile(s: Strategy, env: dict[str, list]):
     if isinstance(s, Seq):
         left = yield s.left, env
         right = yield s.right, env
-        if left[0] == OP_ADHOC and left[6] is None:  # adhoc(d, r) ; s
+        if left[0] == OP_ADHOC and left[6] is None:  # adhoc(d, r) ; s, or r ; s
             return [OP_ADHOC, left[1] + 1, *left[2:6], right]
         return [OP_SEQ, 1, left, right]
     if isinstance(s, Choice):
@@ -178,10 +179,8 @@ def _compile(s: Strategy, env: dict[str, list]):
                 ref[:] = code
                 ref[1] += 1
         return code
-    if isinstance(s, RuleRef):
-        return [OP_RULE, 1, compile_rule(s.rule), rule_names(s.rule), s.rule.sort]
-    if isinstance(s, Adhoc):
-        default = yield s.default, env
+    if isinstance(s, (RuleRef, Adhoc)):
+        default = (yield s.default, env) if isinstance(s, Adhoc) else None
         return [OP_ADHOC, 1, default, s.rule.sort, compile_rule(s.rule), rule_names(s.rule), None]
     raise EngineError(f"cannot compile {s!r}")
 
@@ -260,9 +259,12 @@ def _execute(code, term, fuel, constr_sort, trace):
             if fuel < 0:
                 return None
             op = code[0]
-            if op == 8:  # ADHOC, then its next instruction if any
+            if op == 7:  # ADHOC or a bare rule, then its next instruction if any
                 ts = t.sort if type(t) is lit_t else constr_sort[t.constr]
                 if ts != code[3]:
+                    if code[2] is None:  # a bare rule
+                        val = failed
+                        break
                     if code[6] is not None:
                         append((0, code[6]))
                     code = code[2]
@@ -304,7 +306,7 @@ def _execute(code, term, fuel, constr_sort, trace):
             elif op == 2:  # SEQ
                 append((0, code[3]))
                 code = code[2]
-            elif op == 9:  # TRY
+            elif op == 8:  # TRY
                 append((4, t))
                 code = code[2]
             elif op == 3:  # CHOICE
@@ -315,16 +317,6 @@ def _execute(code, term, fuel, constr_sort, trace):
                 break
             elif op == 1:  # FAIL
                 val = failed
-                break
-            elif op == 7:  # RULE
-                ts = t.sort if type(t) is lit_t else constr_sort[t.constr]
-                out = code[2](t) if ts == code[4] else None
-                if out is None:
-                    val = failed
-                else:
-                    val = out
-                    if trace is not None:
-                        trace.update(code[3])
                 break
             else:  # VAR
                 code = code[2]

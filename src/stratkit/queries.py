@@ -189,8 +189,9 @@ def check_query_kinds(q: QueryExpr, monoid: MonoidSpec) -> None:
                     f"{monoid.name!r}"
                 )
         elif isinstance(node, (BothQ, ChoiceQ)):
-            stack.append(node.left)
+            # left on top: the first constant in reading order is named
             stack.append(node.right)
+            stack.append(node.left)
         elif isinstance(node, (AllQ, FullCl, StopCl, OnceCl)):
             stack.append(node.body)
         elif isinstance(node, AdhocQ):

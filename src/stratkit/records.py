@@ -5,8 +5,8 @@ A record lists its fields as class annotations, in order, with optional
 defaults; a class attribute without an annotation is not a field.
 `@record` makes it frozen and hashable by its field tuple,
 `@mutable_record` assignable and unhashable. A record equals only
-records of its class with equal fields, prints as `Name(f=..., ...)`,
-and runs its `__post_init__`, if any, once its fields are set.
+records of its class with equal fields, and prints as
+`Name(f=..., ...)`.
 
 __init__, == and hash are the dataclass code, written once per arity
 over the placeholder fields a, b, ...; each record gets a copy with the
@@ -72,16 +72,8 @@ def record(cls, frozen: bool = True):
     if len(names) > len(_PLACEHOLDERS):
         raise TypeError(f"a record has at most {len(_PLACEHOLDERS)} fields")
     defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
-    fill = cls.__init__ = _specialise(_INIT, cls, "__init__")
-    fill.__defaults__ = defaults
-    post_init = getattr(cls, "__post_init__", None)
-    if post_init:
-
-        def __init__(self, *args, **kwargs):
-            fill(self, *args, **kwargs)
-            post_init(self)
-
-        cls.__init__ = __init__
+    cls.__init__ = _specialise(_INIT, cls, "__init__")
+    cls.__init__.__defaults__ = defaults
     cls.__eq__ = _specialise(_EQ, cls, "__eq__")
     cls.__hash__ = _specialise(_HASH, cls, "__hash__") if frozen else None
     cls.__repr__ = _repr

@@ -1,11 +1,14 @@
 """Termination checking by symbolic measure tracking.
 
 A measure is an ordered list of components, constructor counts first
-and term depth as the mandatory final component. The analysis tracks,
-through the body of each recursive closure, how the measure of the
-current term relates to the measure at the closure's entry: not
-increased (Leq), strictly decreased (Less), or unknown (Any). A
-recursive reference is admissible only where the tracked vector is
+and term depth as the mandatory final component. `Measure` holds only
+the counted constructors, so depth is last, and only there, by
+construction; `parse_measure` rejects a text that puts it elsewhere.
+
+The analysis tracks, through the body of each recursive closure, how
+the measure of the current term relates to the measure at the closure's
+entry: not increased (Leq), strictly decreased (Less), or unknown (Any).
+A recursive reference is admissible only where the tracked vector is
 lexicographically below the entry measure, which is exactly the
 induction principle that justifies the recursion. The effect of a rec
 is the least fixpoint of its body's effect, iterated up from Less in
@@ -102,60 +105,40 @@ def parse_rel(text: str) -> Rel:
 
 
 @record
-class CountComponent:
-    constr: str
-
-
-@record
-class DepthComponent:
-    pass
-
-
-Component = CountComponent | DepthComponent
-
-DEPTH = DepthComponent()
-
-
-@record
 class Measure:
-    components: tuple[Component, ...]
+    """The constructors counted, most significant first; depth, always
+    the last component, is implied."""
 
-    def __post_init__(self):
-        comps = self.components
-        if not comps or comps[-1] != DEPTH:
-            raise ParseError("measure must end with the depth component")
-        if any(c == DEPTH for c in comps[:-1]):
-            raise ParseError("depth may appear only once, in last position")
+    counts: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self.counts) + 1
 
     def __str__(self) -> str:
-        parts = []
-        for c in self.components:
-            parts.append("depth" if c == DEPTH else f"count:{c.constr}")
-        return ",".join(parts)
+        return ",".join([*(f"count:{c}" for c in self.counts), "depth"])
 
 
-DEPTH_MEASURE = Measure((DEPTH,))
+DEPTH_MEASURE = Measure(())
 
 
 def parse_measure(text: str) -> Measure:
     """`count:C,count:D,depth` — counts most significant first, depth
     mandatory last."""
-    comps: list[Component] = []
-    for raw in text.split(","):
-        part = raw.strip()
-        if part == "depth":
-            comps.append(DEPTH)
-        elif part.startswith("count:"):
+    parts = [raw.strip() for raw in text.split(",")]
+    counts = []
+    for part in parts:
+        if part.startswith("count:"):
             constr = part[6:].strip()
             if not constr:
                 raise ParseError("count component needs a constructor name")
-            comps.append(CountComponent(constr))
-        else:
+            counts.append(constr)
+        elif part != "depth":
             raise ParseError(f"unknown measure component {part!r}")
-    return Measure(tuple(comps))
+    if parts[-1] != "depth":
+        raise ParseError("measure must end with the depth component")
+    if len(counts) != len(parts) - 1:
+        raise ParseError("depth may appear only once, in last position")
+    return Measure(tuple(counts))
 
 
 RelVec = tuple[Rel, ...]
@@ -225,23 +208,21 @@ def _pat_shape(p: Pattern) -> tuple[int, dict[str, int], dict[str, int], dict[st
 def rule_effect_check(rule: RuleDef, m: Measure) -> RelVec:
     (ls, lpaths, lm, lc), (rs, rpaths, rm, rc) = _pat_shape(rule.lhs), _pat_shape(rule.rhs)
     out: list[Rel] = []
-    for comp in m.components:
-        if comp == DEPTH:
-            # depth(rhs θ) is the max of its static depth and, per
-            # variable, deepest occurrence distance plus depth(θ x); bound
-            # each part by the matching lower bound on depth(lhs θ)
-            if rs > ls or any(d > lpaths.get(x, -1) for x, d in rpaths.items()):
-                out.append(ANY)
-            elif rs < ls and all(d < lpaths.get(x, -1) for x, d in rpaths.items()):
-                out.append(LESS)
-            else:
-                out.append(LEQ)
+    for constr in m.counts:
+        before, after = lc.get(constr, 0), rc.get(constr, 0)
+        if after > before or any(n > lm.get(x, 0) for x, n in rm.items()):
+            out.append(ANY)
         else:
-            before, after = lc.get(comp.constr, 0), rc.get(comp.constr, 0)
-            if after > before or any(n > lm.get(x, 0) for x, n in rm.items()):
-                out.append(ANY)
-            else:
-                out.append(LESS if after < before else LEQ)
+            out.append(LESS if after < before else LEQ)
+    # depth(rhs θ) is the max of its static depth and, per variable,
+    # deepest occurrence distance plus depth(θ x); bound each part by the
+    # matching lower bound on depth(lhs θ)
+    if rs > ls or any(d > lpaths.get(x, -1) for x, d in rpaths.items()):
+        out.append(ANY)
+    elif rs < ls and all(d < lpaths.get(x, -1) for x, d in rpaths.items()):
+        out.append(LESS)
+    else:
+        out.append(LEQ)
     return tuple(out)
 
 

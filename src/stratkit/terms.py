@@ -43,10 +43,6 @@ class Term:
             return False
         return term_eq(self, other)
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self):
         return self._hash
 

@@ -603,6 +603,17 @@ def test_query_monoid_kind_mismatch(fixtures_dir):
     assert result.exit_code == 2
 
 
+def test_a_kind_mismatch_names_the_first_constant(fixtures_dir, tmp_path):
+    query = tmp_path / "two.query"
+    query.write_text("main = bothq(constq(1.5), constq(2.5))\n")
+    result = invoke(
+        fixtures_dir,
+        ["query", "--monoid", "int-sum", "company.sig", str(query), "terms/c0.term"],
+    )
+    message = "constant 1.5 does not fit monoid 'int-sum'\n"
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", message)
+
+
 def test_bad_measure_spec(fixtures_dir):
     result = invoke(
         fixtures_dir,

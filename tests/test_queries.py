@@ -364,6 +364,11 @@ def test_constants_are_checked_at_load_time():
         check_query_kinds(BothQ(ConstQ(UNIT), ConstQ(1)), MONOIDS["float-sum"])
     with pytest.raises(KindError):
         check_query_kinds(FullCl(ConstQ("x")), MONOIDS["int-sum"])
+    # the first constant that does not fit, in reading order, is named
+    for node in (BothQ, ChoiceQ):
+        with pytest.raises(KindError) as exc:
+            check_query_kinds(node(ConstQ(1.5), node(ConstQ(2.5), ConstQ(3.5))), MONOIDS["int-sum"])
+        assert str(exc.value) == "constant 1.5 does not fit monoid 'int-sum'"
 
 
 def test_extractions_are_checked_at_run_time(company_sig):

@@ -18,9 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratkit import records
-from stratkit.errors import ParseError
 from stratkit.strategies import FAIL, ID, Choice, Seq
-from stratkit.termination import DEPTH, CountComponent, Measure
 
 MODULES = ("terms", "strategies", "interp", "queries", "termination", "dsl", "laws")
 
@@ -53,12 +51,7 @@ def twin(cls):
         if default is not dataclasses.MISSING:
             default = dataclasses.field(default=default)
         specs.append((name, object) if default is dataclasses.MISSING else (name, object, default))
-    namespace = {}
-    if hasattr(cls, "__post_init__"):
-        namespace["__post_init__"] = cls.__post_init__
-    return dataclasses.make_dataclass(
-        cls.__name__, specs, frozen=cls.__name__ not in MUTABLE, namespace=namespace
-    )
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=cls.__name__ not in MUTABLE)
 
 
 TWINS = {cls: twin(cls) for cls in RECORDS}
@@ -71,21 +64,17 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def build(cls, values):
-    return outcome(cls, *values)
-
-
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["", "a", "S"]),
     st.floats(allow_nan=False, allow_infinity=False, width=16),
-    st.sampled_from([ID, FAIL, Seq(ID, FAIL), Choice(ID, FAIL), DEPTH, CountComponent("C")]),
+    st.sampled_from([ID, FAIL, Seq(ID, FAIL), Choice(ID, FAIL)]),
 )
 values = st.recursive(scalars, lambda sub: st.tuples(sub, sub), max_leaves=4)
 
 
 def test_every_record_class_is_found():
-    # 37 frozen and 5 mutable records
-    assert len(RECORDS) == 42
+    # 35 frozen and 5 mutable records
+    assert len(RECORDS) == 40
     assert MUTABLE <= {cls.__name__ for cls in RECORDS}
     assert "dataclasses" not in dir(records)
 
@@ -98,13 +87,8 @@ def test_a_record_behaves_like_its_dataclass_twin(cls, data):
     n = len(cls.__match_args__)
     one = data.draw(st.lists(values, min_size=n, max_size=n))
     other = data.draw(st.one_of(st.just(list(one)), st.lists(values, min_size=n, max_size=n)))
-    (kind, a), (twin_kind, ta) = build(cls, one), build(dc, one)
-    assert kind == twin_kind
-    if kind != "ok":
-        # only Measure rejects field values; it must say the same
-        assert a == ta
-        return
-    b, tb = build(cls, other)[1], build(dc, other)[1]
+    a, ta = cls(*one), dc(*one)
+    b, tb = cls(*other), dc(*other)
     assert repr(a) == repr(ta)
     assert (a == b) == (ta == tb) and (a != b) == (ta != tb)
     assert a.__eq__(object()) is NotImplemented
@@ -133,27 +117,12 @@ def test_a_record_behaves_like_its_dataclass_twin(cls, data):
 def test_defaults_match_the_twin(cls):
     dc = TWINS[cls]
     required = [n for n, d in fields(cls) if d is dataclasses.MISSING]
-    args = [(DEPTH,)] if cls is Measure else ["v"] * len(required)
+    args = ["v"] * len(required)
     a, ta = cls(*args), dc(*args)
     assert repr(a) == repr(ta)
     assert [getattr(a, n) for n in cls.__match_args__] == [
         getattr(ta, n) for n in cls.__match_args__
     ]
-
-
-@pytest.mark.parametrize(
-    "components",
-    [(), (DEPTH, DEPTH), (CountComponent("C"),), (DEPTH, CountComponent("C"))],
-)
-def test_measure_errors_match_the_twin(components):
-    assert outcome(Measure, components) == outcome(TWINS[Measure], components)
-    assert outcome(Measure, components)[0] != "ok"
-
-
-def test_a_valid_measure_is_built():
-    m = Measure((CountComponent("C"), DEPTH))
-    assert repr(m) == repr(TWINS[Measure]((CountComponent("C"), DEPTH)))
-    assert str(m) == "count:C,depth"
 
 
 def test_records_of_different_classes_are_unequal():
@@ -169,8 +138,6 @@ def test_replace_builds_through_the_constructor():
     assert records.replace(s) == s
     with pytest.raises(TypeError):
         records.replace(s, middle=ID)
-    with pytest.raises(ParseError):
-        records.replace(Measure((DEPTH,)), components=())
 
 
 def deepest(make, op, limit=5000):

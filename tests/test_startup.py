@@ -38,8 +38,8 @@ MONOIDS NO_RESULT UNIT AdhocQ AllQ BothQ ChoiceQ ConstQ FailQ FullCl MonoidSpec
 OnceCl QueryExpr QueryRule StopCl check_query_kinds compile_query get_monoid run_query
 Sf scan_dead_choices sf_analyse sf_choice sf_seq sf_type_of
 ReachMap dead_case_report mentioned_cases reach_analyse reach_transform
-CountComponent DEPTH_MEASURE DepthComponent Measure Rel RelVec leqs parse_measure
-rule_effect rule_effect_check term_analyse term_type_of verify_annotations
+DEPTH_MEASURE Measure Rel RelVec leqs parse_measure rule_effect rule_effect_check
+term_analyse term_type_of verify_annotations
 LAWS NONLAWS GenConfig builtin_rules builtin_signature check_laws
 check_scheme_properties check_soundness find_nonlaw_counterexamples gen_strategy gen_term
 Def Program QueryProgram load_program load_query_program parse_program parse_query_program

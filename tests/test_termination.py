@@ -350,8 +350,8 @@ def test_env_errors():
 
 def _measure_value(m, t):
     out = []
-    for comp in m.components[:-1]:
-        out.append(count(comp.constr, t))
+    for constr in m.counts:
+        out.append(count(constr, t))
     out.append(depth(t))
     return out
 
