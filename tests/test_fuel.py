@@ -207,6 +207,16 @@ def test_adhoc_then_a_strategy_is_fused(adhoc, then):
         assert_every_budget(Seq(adhoc, then), t)
 
 
+# a bare rule is an adhoc without a default: it fails at once on another sort
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+def test_a_bare_rule_then_a_strategy_is_fused(rule):
+    for then in BODIES:
+        code = CompiledStrategy(Seq(RuleRef(rule), then), SIG)._code
+        assert code[0] == OP_ADHOC and code[2] is None and code[6] is not None
+        for t in SHAPE_TERMS + (UNDECLARED,):
+            assert_every_budget(Seq(RuleRef(rule), then), t)
+
+
 @pytest.mark.parametrize("adhoc", ADHOCS)
 def test_full_td_over_adhoc_links_its_variable_to_the_fused_adhoc(adhoc):
     code = CompiledStrategy(full_td(adhoc), SIG)._code

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from stratkit import records
 from stratkit.strategies import FAIL, ID, Choice, Seq
+from stratkit.termination import Measure
 
 MODULES = ("terms", "strategies", "interp", "queries", "termination", "dsl", "laws")
 
@@ -123,6 +124,12 @@ def test_defaults_match_the_twin(cls):
     assert [getattr(a, n) for n in cls.__match_args__] == [
         getattr(ta, n) for n in cls.__match_args__
     ]
+
+
+def test_a_valid_measure_is_built():
+    m = Measure(("C",))
+    assert repr(m) == repr(TWINS[Measure](("C",)))
+    assert str(m) == "count:C,depth"
 
 
 def test_records_of_different_classes_are_unequal():

@@ -132,19 +132,22 @@ def test_parse_measure_and_roundtrip():
     assert parse_measure("depth") == DEPTH_MEASURE
 
 
+MEASURE_ERRORS = [
+    # each part is checked in turn, before the place of depth
+    ("count:,size", "count component needs a constructor name"),
+    ("size,count:", "unknown measure component 'size'"),
+    ("size", "unknown measure component 'size'"),
+    ("count:,depth", "count component needs a constructor name"),
+    ("", "unknown measure component ''"),
+    ("count:Succ", "measure must end with the depth component"),
+    ("depth,count:Succ", "measure must end with the depth component"),
+    ("depth,depth", "depth may appear only once, in last position"),
+    ("count:A,depth,depth", "depth may appear only once, in last position"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, message",
-    [
-        # each part is checked in turn, before the place of depth
-        ("count:,size", "count component needs a constructor name"),
-        ("size,count:", "unknown measure component 'size'"),
-        ("count:,depth", "count component needs a constructor name"),
-        ("", "unknown measure component ''"),
-        ("count:Succ", "measure must end with the depth component"),
-        ("depth,count:Succ", "measure must end with the depth component"),
-        ("depth,depth", "depth may appear only once, in last position"),
-        ("count:A,depth,depth", "depth may appear only once, in last position"),
-    ],
+    "text, message", MEASURE_ERRORS, ids=[text or "empty" for text, _ in MEASURE_ERRORS]
 )
 def test_measure_validation(text, message):
     with pytest.raises(ParseError) as info:
