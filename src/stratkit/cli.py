@@ -3,7 +3,7 @@
 Exit codes, shared by every subcommand:
   0  success
   1  analysis findings (dead cases, NOT PROVEN, law failure, lint hits)
-  2  usage or parse errors
+  2  usage or parse errors, or a stdout closed by its reader
   3  the run ended in Failure (or a query had no result)
   4  fuel ran out
 
@@ -14,6 +14,7 @@ the analyses it uses itself, so `run` and `query` start without them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .dsl import load_program, load_query_program
@@ -244,7 +245,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = command(commands, laws)
     p.add_argument("--seed", type=int, default=2026, help="(default: %(default)s)")
-    p.add_argument("--cases", type=positive_int, default=1000, help="(default: %(default)s)")
+    p.add_argument("--cases", type=positive_int, default=1000,
+                   help="Cases per law and per scheme property; a case of a law is one "
+                        "strategy per argument with a term. The non-laws always get "
+                        "1000 (default: %(default)s).")
     p = command(commands, lint, "signature", "program")
     p.add_argument("--root", help="Root sort for the dead-case check.")
     p.add_argument("--measure", default="depth", help="(default: %(default)s)")
@@ -254,10 +258,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run the command in argv (default: the process's arguments) and
     return its exit code. A usage error exits 2 from inside argparse;
-    every other error is one stderr line and exit 2."""
+    a stdout closed by its reader exits 2 silently; every other error is
+    one stderr line and exit 2."""
     args = _parser().parse_args(argv)
     try:
-        return args.command(args)
+        code = args.command(args)
+        sys.stdout.flush()  # a closed pipe is seen here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # see "Note on SIGPIPE" in the signal module's documentation:
+        # output still buffered goes to devnull when Python exits
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except StratkitError as exc:
         message = str(exc)
     except RecursionError:

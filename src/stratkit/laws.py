@@ -1,17 +1,20 @@
-"""Randomized validation of the algebraic laws of the core combinators.
+"""Checks of the algebraic laws of the core combinators.
 
 The laws are equalities between strategy expressions (some guarded by a
-constant/non-constant side condition on the term). We sample closed
-strategies and well-formed terms, run both sides through the
-interpreter, and compare outcomes: Failure equals Failure, successes
-must agree structurally. Runs that exhaust fuel are discarded and
-counted; the discard rate is part of the report.
+constant/non-constant side condition on the term). Each is checked on
+one stream of cases: first every tuple of small strategies with every
+small term, in ascending size, then seeded random draws of larger
+shapes. Both sides of a case run through the interpreter, and outcomes
+compare as Failure equals Failure, while successes must agree
+structurally. Runs that exhaust fuel are discarded and counted; the
+discard rate is part of the report. The first mismatching case in the
+stream is the counterexample, so one found among the small cases is
+already minimal and nothing is shrunk.
 
-Three putative equalities are known to be false; for those the harness
-does the opposite and searches a small, deterministic universe for a
-concrete counterexample. Laws and non-laws are rows of one table shape,
-`Law`, and every check reports results whose `passed` says whether the
-check met its expectation.
+Three putative equalities are known to be false; the same search runs
+for them, and they pass when it finds a counterexample. Laws and
+non-laws are rows of one table shape, `Law`, and every check reports
+results whose `passed` says whether the check met its expectation.
 
 Everything here is seeded. random.Random with a string seed hashes the
 string, so per-law generators are stable across processes.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections.abc import Callable
+from itertools import islice
 
 from .interp import Failure, FuelExhausted, Outcome, Success, evaluate
 from .records import mutable_record, record
@@ -39,7 +43,6 @@ from .strategies import (
     RuleRef,
     Seq,
     Strategy,
-    children,
     full_bu,
     full_td,
     innermost,
@@ -273,6 +276,19 @@ LAWS: tuple[Law, ...] = (
 )
 
 
+NONLAWS: tuple[Law, ...] = (
+    Law("seq-commutative", 2, None, lambda a, b: Seq(a, b), lambda a, b: Seq(b, a)),
+    Law("choice-commutative", 2, None, lambda a, b: Choice(a, b), lambda a, b: Choice(b, a)),
+    Law(
+        "seq-right-dist",
+        3,
+        None,
+        lambda a, b, c: Seq(Choice(a, b), c),
+        lambda a, b, c: Choice(Seq(a, c), Seq(b, c)),
+    ),
+)
+
+
 LAW, PROPERTY = "LAW", "PROPERTY"
 
 
@@ -296,134 +312,6 @@ class SampledResult:
         return out
 
 
-def _sides(
-    law: Law, strategies: tuple[Strategy, ...], t: Term, sig: Signature, fuel: int
-) -> tuple[Outcome, Outcome] | None:
-    """The outcomes of law's two sides on t; None when either runs out
-    of fuel, which discards the case."""
-    left = evaluate(law.lhs(*strategies), t, sig, fuel)
-    if isinstance(left, FuelExhausted):
-        return None
-    right = evaluate(law.rhs(*strategies), t, sig, fuel)
-    return None if isinstance(right, FuelExhausted) else (left, right)
-
-
-def _differ(sides: tuple[Outcome, Outcome] | None) -> bool:
-    """Both sides ran within fuel, to different outcomes: a counterexample."""
-    if sides is None:
-        return False
-    a, b = sides
-    return type(a) is not type(b) or (isinstance(a, Success) and not term_eq(a.term, b.term))
-
-
-def _gen_case_term(law: Law, sig: Signature, rng: random.Random) -> Term:
-    if law.term_condition == "constant":
-        return gen_constant_term(sig, rng)
-    if law.term_condition == "nonconstant":
-        return gen_nonconstant_term(sig, rng, GenConfig.max_term_depth)
-    return gen_term(sig, rng, GenConfig.max_term_depth)
-
-
-def _shrink(
-    law: Law,
-    strategies: tuple[Strategy, ...],
-    t: Term,
-    sig: Signature,
-    fuel: int,
-) -> tuple[tuple[Strategy, ...], Term]:
-    """Greedy minimization keeping the mismatch alive: take the first
-    smaller case that still mismatches, until none does."""
-    while True:
-        for smaller in _smaller_cases(law, strategies, t):
-            if _differ(_sides(law, *smaller, sig, fuel)):
-                strategies, t = smaller
-                break
-        else:
-            return strategies, t
-
-
-def _smaller_cases(law: Law, strategies: tuple[Strategy, ...], t: Term):
-    """Each child of t in place of t, then each strategy replaced by id,
-    fail or one of its children."""
-    for child in t.children:
-        if law.term_condition != "nonconstant" or child.children:
-            yield strategies, child
-    for i, s in enumerate(strategies):
-        # a rec's body alone would leave its binder unbound
-        for repl in (ID, FAIL, *(() if isinstance(s, Rec) else children(s))):
-            if repl != s:
-                yield strategies[:i] + (repl,) + strategies[i + 1 :], t
-
-
-def _render_case(strategies: tuple[Strategy, ...], t: Term) -> str:
-    from .files import term_to_sexpr
-
-    parts = [f"s{i + 1}={print_strategy(s)}" for i, s in enumerate(strategies)]
-    parts.append(f"t={term_to_sexpr(t)}")
-    return " ".join(parts)
-
-
-def check_laws(
-    sig: Signature, rules: list[Rule], cfg: GenConfig = GenConfig()
-) -> list[SampledResult]:
-    results = []
-    for law in LAWS:
-        rng = random.Random(f"{cfg.seed}:{law.name}")
-        discards = 0
-        failure = ""
-        for _ in range(cfg.cases):
-            strategies = tuple(_draw(rules, rng) for _ in range(law.slots))
-            t = _gen_case_term(law, sig, rng)
-            sides = _sides(law, strategies, t, sig, cfg.fuel)
-            if sides is None:
-                discards += 1
-            elif _differ(sides):
-                strategies, t = _shrink(law, strategies, t, sig, cfg.fuel)
-                failure = _render_case(strategies, t)
-                break
-        results.append(SampledResult(LAW, law.name, not failure, cfg.cases, discards, failure))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Non-laws: bounded deterministic counterexample search
-
-
-NONLAWS: tuple[Law, ...] = (
-    Law("seq-commutative", 2, None, lambda a, b: Seq(a, b), lambda a, b: Seq(b, a)),
-    Law("choice-commutative", 2, None, lambda a, b: Choice(a, b), lambda a, b: Choice(b, a)),
-    Law(
-        "seq-right-dist",
-        3,
-        None,
-        lambda a, b, c: Seq(Choice(a, b), c),
-        lambda a, b, c: Choice(Seq(a, c), Seq(b, c)),
-    ),
-)
-
-
-def _strategy_universe(rules: list[Rule]) -> list[tuple[int, Strategy]]:
-    """All expressions up to size 3 over the rule pool, size-tagged."""
-    atoms: list[Strategy] = [ID, FAIL] + [RuleRef(r) for r in rules]
-    out: list[tuple[int, Strategy]] = [(1, a) for a in atoms]
-    for a in atoms:
-        out.append((2, All(a)))
-        out.append((2, One(a)))
-    for a in atoms:
-        for b in atoms:
-            out.append((3, Seq(a, b)))
-            out.append((3, Choice(a, b)))
-    return out
-
-
-def _term_universe() -> list[Term]:
-    zero = Node("Zero")
-    one = Node("Succ", (zero,))
-    two = Node("Succ", (one,))
-    tree1 = Node("Node", (zero, Node("Nil_NatTree")))
-    return [zero, one, two, tree1, Node("True")]
-
-
 @mutable_record
 class NonlawResult:
     name: str
@@ -440,44 +328,114 @@ class NonlawResult:
         return f"NONLAW {self.name} COUNTEREXAMPLE {self.counterexample}"
 
 
+# ---------------------------------------------------------------------------
+# One size-ordered search for laws and non-laws
+
+
+def check_laws(
+    sig: Signature, rules: list[Rule], cfg: GenConfig = GenConfig()
+) -> list[SampledResult]:
+    """Each law on the first cfg.cases cases of its stream."""
+    results = []
+    for law in LAWS:
+        discards, failure = _search(law, sig, rules, cfg, cfg.fuel)
+        results.append(SampledResult(LAW, law.name, not failure, cfg.cases, discards, failure))
+    return results
+
+
 def find_nonlaw_counterexamples(
     sig: Signature, rules: list[Rule], fuel: int = GenConfig.fuel
 ) -> list[NonlawResult]:
-    universe = _strategy_universe(rules)
-    terms = _term_universe()
+    """Each non-law on the first GenConfig().cases cases of its stream,
+    whatever a caller checks the laws with, so that every non-law is
+    refuted at any case count."""
     return [
-        NonlawResult(law.name, _first_counterexample(law, universe, terms, sig, fuel))
+        NonlawResult(law.name, _search(law, sig, rules, GenConfig(), fuel)[1] or None)
         for law in NONLAWS
     ]
 
 
-def _first_counterexample(law: Law, universe, terms, sig: Signature, fuel: int) -> str | None:
-    for strategies in _candidates(universe, law.slots):
+def _search(
+    law: Law, sig: Signature, rules: list[Rule], cfg: GenConfig, fuel: int
+) -> tuple[int, str]:
+    """The fuel discards among the first cfg.cases cases of law's
+    stream, and the first case whose sides differ, rendered; "" if none."""
+    discards = 0
+    for strategies, t in islice(_cases(law, sig, rules, cfg.seed), cfg.cases):
+        left = right = evaluate(law.lhs(*strategies), t, sig, fuel)
+        if not isinstance(left, FuelExhausted):
+            right = evaluate(law.rhs(*strategies), t, sig, fuel)
+        if isinstance(right, FuelExhausted):  # either side ran out of fuel
+            discards += 1
+        elif type(left) is not type(right) or (
+            isinstance(left, Success) and not term_eq(left.term, right.term)
+        ):
+            return discards, (
+                f"{_render_case(strategies, t)}"
+                f" left={_show_outcome(left)} right={_show_outcome(right)}"
+            )
+    return discards, ""
+
+
+def _cases(law: Law, sig: Signature, rules: list[Rule], seed: int):
+    """Every strategy tuple of the small universe, in `_candidates`
+    order, with every small term that meets law's condition; then
+    seeded random draws, without end."""
+    has_children = {"constant": False, "nonconstant": True}.get(law.term_condition)
+    terms = [t for t in _term_universe() if has_children in (None, bool(t.children))]
+    for strategies in _candidates(_strategy_universe(rules), law.slots):
         for t in terms:
-            sides = _sides(law, strategies, t, sig, fuel)
-            if _differ(sides):
-                left, right = sides
-                return (
-                    f"{_render_case(strategies, t)}"
-                    f" left={_show_outcome(left)} right={_show_outcome(right)}"
-                )
-    return None
+            yield strategies, t
+    rng = random.Random(f"{seed}:{law.name}")
+    while True:
+        strategies = tuple(_draw(rules, rng) for _ in range(law.slots))
+        yield strategies, _gen_case_term(law, sig, rng)
+
+
+def _gen_case_term(law: Law, sig: Signature, rng: random.Random) -> Term:
+    if law.term_condition == "constant":
+        return gen_constant_term(sig, rng)
+    if law.term_condition == "nonconstant":
+        return gen_nonconstant_term(sig, rng, GenConfig.max_term_depth)
+    return gen_term(sig, rng, GenConfig.max_term_depth)
+
+
+def _strategy_universe(rules: list[Rule]) -> list[tuple[int, Strategy]]:
+    """All expressions up to size 3 over the rule pool, size-tagged."""
+    atoms: list[Strategy] = [ID, FAIL] + [RuleRef(r) for r in rules]
+    out: list[tuple[int, Strategy]] = [(1, a) for a in atoms]
+    for a in atoms:
+        out.append((2, All(a)))
+        out.append((2, One(a)))
+    for a in atoms:
+        for r in rules:
+            out.append((2, Adhoc(a, r)))
+    for a in atoms:
+        for b in atoms:
+            out.append((3, Seq(a, b)))
+            out.append((3, Choice(a, b)))
+    return out
+
+
+def _term_universe() -> list[Term]:
+    zero = Node("Zero")
+    one = Node("Succ", (zero,))
+    two = Node("Succ", (one,))
+    tree1 = Node("Node", (zero, Node("Nil_NatTree")))
+    return [zero, one, two, tree1, Node("True")]
 
 
 def _candidates(universe, slots):
     """Every `slots`-tuple over the size-tagged `universe`, by ascending
     total size and, within one total, in product order: the order of a
     stable sort of the product by size, generated lazily, because the
-    first counterexample sits among the smallest of about 1.7M triples."""
-    by_size: dict[int, list[Strategy]] = {}
-    for n, s in universe:
-        by_size.setdefault(n, []).append(s)
-    lo, hi = min(by_size), max(by_size)
+    first counterexample sits among the smallest of about 3.7M triples."""
+    lo = min(n for n, _ in universe)
+    hi = max(n for n, _ in universe)
 
     def fill(total, k):
-        if k == 1:
-            for s in by_size.get(total, ()):
-                yield (s,)
+        if k == 0:
+            yield ()
             return
         for n, s in universe:
             if (k - 1) * lo <= total - n <= (k - 1) * hi:
@@ -486,6 +444,14 @@ def _candidates(universe, slots):
 
     for total in range(slots * lo, slots * hi + 1):
         yield from fill(total, slots)
+
+
+def _render_case(strategies: tuple[Strategy, ...], t: Term) -> str:
+    from .files import term_to_sexpr
+
+    parts = [f"s{i + 1}={print_strategy(s)}" for i, s in enumerate(strategies)]
+    parts.append(f"t={term_to_sexpr(t)}")
+    return " ".join(parts)
 
 
 def _show_outcome(o: Outcome) -> str:

@@ -324,6 +324,39 @@ def _run_on_term_file(fixtures_dir, path):
     )
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "nat_tree.sig", "programs/stop_increment.strat", "terms/tree1.term"],
+        ["laws", "--cases", "5"],
+    ],
+    ids=["run", "laws"],
+)
+def test_a_closed_stdout_exits_2_without_a_traceback(fixtures_dir, argv, unbuffered):
+    # the reader is gone before the first write, as in `stratkit … | head -c 0`;
+    # buffered, the write fails at the flush, unbuffered at the first print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratkit", *_resolve(fixtures_dir, argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 def test_bad_term_file(fixtures_dir, tmp_path):
     bad = tmp_path / "bad.term"
     bad.write_text("(Succ\n")

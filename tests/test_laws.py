@@ -1,5 +1,6 @@
-"""The randomized law harness: generator contracts, determinism, the
-law table itself, and hand-verified witnesses for the three non-laws."""
+"""The law harness: generator contracts, determinism, the size-ordered
+case stream, the law table itself, and hand-verified witnesses for the
+three non-laws."""
 
 import itertools
 import random
@@ -13,7 +14,6 @@ from stratkit.laws import (
     LAWS,
     NONLAWS,
     GenConfig,
-    Law,
     builtin_rules,
     builtin_signature,
     check_laws,
@@ -25,10 +25,9 @@ from stratkit.laws import (
     gen_strategy,
     gen_term,
 )
-from stratkit.strategies import FAIL, ID, Choice, RuleRef, Seq
+from stratkit.files import term_to_sexpr
+from stratkit.strategies import FAIL, ID, Choice, RuleRef, Seq, print_strategy
 from stratkit.terms import Node, depth, sort_of, validate_term
-
-SMALL = GenConfig(cases=150)
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +69,72 @@ def test_gen_strategy_size_one_is_a_leaf(rules, rng):
         assert s == ID or s == FAIL or isinstance(s, RuleRef)
 
 
+def _stream(law, sig, pool, seed, n):
+    """The first n cases of law's stream, as text."""
+    return [
+        (tuple(print_strategy(s) for s in strategies), term_to_sexpr(t))
+        for strategies, t in itertools.islice(laws._cases(law, sig, pool, seed), n)
+    ]
+
+
 def test_seeded_runs_are_reproducible(sig, rules):
     pool = list(rules.values())
-    cfg = GenConfig(cases=60)
-    a = [r.line() for r in check_laws(sig, pool, cfg)]
-    b = [r.line() for r in check_laws(sig, pool, cfg)]
+    # past the 770 small cases of a 1-slot law, into its random draws
+    cfg = GenConfig(cases=900)
+    a = [(r.line(), r.discards) for r in check_laws(sig, pool, cfg)]
+    b = [(r.line(), r.discards) for r in check_laws(sig, pool, cfg)]
     assert a == b
+    first = _stream(LAWS[0], sig, pool, 2026, 900)
+    assert _stream(LAWS[0], sig, pool, 2026, 900) == first
+    # another seed changes the draws only, not the small universe
+    other = _stream(LAWS[0], sig, pool, 7, 900)
+    assert other[:770] == first[:770] and other[770:] != first[770:]
     assert check_soundness(sig, pool, cfg, runs=200) == check_soundness(
         sig, pool, cfg, runs=200
     )
+
+
+# ---------------------------------------------------------------------------
+# The case stream
+
+
+def test_the_stream_starts_with_the_small_universe_in_size_order(sig, rules):
+    pool = list(rules.values())
+    universe = laws._strategy_universe(pool)
+    assert len(universe) == 154  # with adhoc(a, r) among the size-2 shapes
+    terms = laws._term_universe()
+    law = LAWS[0]
+    assert (law.slots, law.term_condition) == (1, None)
+    n = len(universe) * len(terms)
+    head = list(itertools.islice(laws._cases(law, sig, pool, 2026), n + 1))
+    assert head[:n] == [
+        (strategies, t) for strategies in laws._candidates(universe, 1) for t in terms
+    ]
+    # then the law's own seeded draws
+    rng = random.Random(f"2026:{law.name}")
+    strategies, t = head[n]
+    assert strategies == (laws._draw(pool, rng),)
+    assert t == laws._gen_case_term(law, sig, rng)
+
+
+@pytest.mark.parametrize(
+    "condition, terms",
+    [
+        ("constant", ["(Zero)", "(True)"]),
+        ("nonconstant", ["(Succ (Zero))", "(Succ (Succ (Zero)))", "(Node (Zero) (Nil_NatTree))"]),
+    ],
+)
+def test_a_conditioned_law_sees_only_the_small_terms_that_meet_it(
+    sig, rules, condition, terms
+):
+    pool = list(rules.values())
+    universe = laws._strategy_universe(pool)
+    conditioned = [law for law in LAWS if law.term_condition == condition]
+    assert conditioned
+    for law in conditioned:
+        tuples = len(list(laws._candidates(universe, law.slots)))
+        head = _stream(law, sig, pool, 2026, tuples * len(terms))
+        assert [t for _, t in head] == terms * tuples, law.name
 
 
 # ---------------------------------------------------------------------------
@@ -91,35 +147,15 @@ def test_law_table_shape():
     assert {law.term_condition for law in LAWS} == {None, "constant", "nonconstant"}
 
 
-def test_all_laws_hold(sig, rules):
-    results = check_laws(sig, list(rules.values()), SMALL)
+@pytest.mark.parametrize("seed", [1, 7, 99, 2026])
+def test_all_laws_hold(sig, rules, seed):
+    results = check_laws(sig, list(rules.values()), GenConfig(seed=seed, cases=1000))
     assert [r.name for r in results] == [law.name for law in LAWS]
     for r in results:
         assert r.passed, r.line()
         assert (r.kind, r.detail) == ("LAW", "")
         assert r.line() == f"LAW {r.name} PASS"
         assert r.discards / r.cases < 0.10, r.line()
-
-
-def test_a_false_law_fails_with_a_shrunk_case(sig, rules, monkeypatch):
-    bogus = Law(
-        "bogus-choice-commutes",
-        2,
-        None,
-        lambda a, b: Choice(a, b),
-        lambda a, b: Choice(b, a),
-    )
-    monkeypatch.setattr(laws, "LAWS", (bogus,))
-    (r,) = check_laws(sig, list(rules.values()), SMALL)
-    assert not r.passed
-    assert "s1=" in r.detail and "t=" in r.detail
-    assert r.line() == f"LAW bogus-choice-commutes FAIL {r.detail}"
-
-
-# ---------------------------------------------------------------------------
-# Non-laws
-
-ZERO = Node("Zero")
 
 
 #: the smallest counterexample of each non-law, in the search's order
@@ -131,6 +167,26 @@ NONLAW_LINES = [
     "NONLAW seq-right-dist COUNTEREXAMPLE s1=id s2=increment s3=dropSucc"
     " t=(Zero) left=FAIL right=(Zero)",
 ]
+
+
+@pytest.mark.parametrize(
+    "nonlaw, line", zip(NONLAWS, NONLAW_LINES), ids=[n.name for n in NONLAWS]
+)
+def test_a_false_law_fails_with_its_smallest_counterexample(
+    sig, rules, monkeypatch, nonlaw, line
+):
+    # checked as a law, a non-law fails on the case its search finds
+    monkeypatch.setattr(laws, "LAWS", (nonlaw,))
+    (r,) = check_laws(sig, list(rules.values()), GenConfig(cases=100))
+    counterexample = line.split(" COUNTEREXAMPLE ")[1]
+    assert (r.passed, r.detail) == (False, counterexample)
+    assert r.line() == f"LAW {nonlaw.name} FAIL {counterexample}"
+
+
+# ---------------------------------------------------------------------------
+# Non-laws
+
+ZERO = Node("Zero")
 
 
 def test_nonlaw_search_finds_all_three(sig, rules):
@@ -152,7 +208,7 @@ def test_a_nonlaw_without_counterexample_fails(sig, rules, monkeypatch):
     assert r.passed
 
 
-@pytest.mark.parametrize("slots, stride", [(2, 1), (3, 5)])
+@pytest.mark.parametrize("slots, stride", [(0, 1), (1, 1), (2, 1), (3, 5)])
 def test_candidates_are_the_product_stably_sorted_by_size(rules, slots, stride):
     # The lazy enumeration must try candidates in exactly the order of
     # sorting the whole product by total size (sorted() is stable).
