@@ -260,11 +260,12 @@ def main(argv: list[str] | None = None) -> int:
     return its exit code. A usage error exits 2 from inside argparse;
     a stdout closed by its reader exits 2 silently; every other error is
     one stderr line and exit 2."""
-    args = _parser().parse_args(argv)
     try:
-        code = args.command(args)
-        sys.stdout.flush()  # a closed pipe is seen here, not at shutdown
-        return code
+        try:
+            args = _parser().parse_args(argv)  # --help prints here
+            return args.command(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe is seen here, not at shutdown
     except BrokenPipeError:
         # see "Note on SIGPIPE" in the signal module's documentation:
         # output still buffered goes to devnull when Python exits

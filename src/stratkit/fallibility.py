@@ -13,11 +13,11 @@ walk's by-product, so the strict verdict and the scan are two walks: the
 verdict is not read off the scan (`rec x. (x <+ fail)` types True
 leniently, False strictly, and has one dead choice).
 
-Rules enter the abstract domain as leaves: an annotated-infallible rule
-whose left side is a bare variable without a guard really cannot fail
-on its own sort, everything else can (pattern, guard, or sort mismatch).
-Sort dispatch is neither sequencing nor backtracking, so Adhoc gets its
-own conservative merge: infallible only when both branches are.
+Rules enter through sort dispatch: a bare rule `r` is `adhoc(fail, r)`,
+as the machine runs it. An annotated-infallible rule with a bare
+variable left side and no guard cannot fail on its own sort; any other
+can. Adhoc gets its own conservative merge, infallible only when both
+branches are: sort dispatch is neither sequencing nor backtracking.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def sf_choice(x: Sf, y: Sf) -> Sf:
 
 
 def rule_infallible(rule: Rule) -> bool:
-    """On-its-own-sort infallibility. Only an annotated plain RuleDef
-    with a variable left side and no guard qualifies; composites are
-    conservatively fallible."""
+    """Infallibility on the rule's own sort, read only under `adhoc`.
+    Only an annotated plain RuleDef with a variable left side and no
+    guard qualifies; composites are conservatively fallible."""
     return (
         isinstance(rule, RuleDef)
         and rule.infallible
@@ -138,10 +138,8 @@ def _sf_analyse(s: Strategy, env: dict[str, Sf]):
         return (yield s.body, env)
     if isinstance(s, One):
         return EF
-    if isinstance(s, RuleRef):
-        return FS if rule_infallible(s.rule) else EF
-    if isinstance(s, Adhoc):
-        d = yield s.default, env
+    if isinstance(s, (RuleRef, Adhoc)):
+        d = (yield s.default, env) if isinstance(s, Adhoc) else EF
         r = FS if rule_infallible(s.rule) else EF
         if d is NONE:
             return NONE
@@ -253,10 +251,8 @@ def _sf_type_of(
         return False if isinstance(s, One) else a and rule_infallible(s.rule)
     if isinstance(s, Id):
         return True
-    if isinstance(s, Fail):
+    if isinstance(s, (Fail, RuleRef)):
         return False
-    if isinstance(s, RuleRef):
-        return rule_infallible(s.rule)
     if isinstance(s, Var):
         try:
             return lookup(ctx, s.name)

@@ -37,7 +37,6 @@ from .strategies import (
     BogusSchemeWarning,
     Choice,
     One,
-    Rec,
     Rule,
     RuleDef,
     RuleRef,
@@ -49,11 +48,9 @@ from .strategies import (
     once_bu,
     once_td,
     print_strategy,
-    rebuild,
     stop_bu,
     stop_td,
     try_,
-    walk,
 )
 from .terms import (
     Lit,
@@ -546,33 +543,15 @@ class SoundnessResult:
         )
 
 
-def _adhocify(s: Strategy) -> Strategy:
-    """Push every bare rule reference under sort dispatch.
-
-    The infallibility annotation on a rule speaks only about terms of
-    the rule's own sort; a bare reference hitting a foreign sort fails
-    by definition. Typed-infallible claims are therefore only meaningful
-    for strategies where rules enter through adhoc, so the soundness
-    sampler normalizes to that fragment.
-    """
-    return walk(_adhocify_step, s)
-
-
-def _adhocify_step(s: Strategy):
-    if isinstance(s, RuleRef):
-        return Adhoc(ID, s.rule)
-    if isinstance(s, Rec):
-        return s  # the sampler's strategies are rec-free
-    return (yield from rebuild(s))
-
-
 def check_soundness(
     sig: Signature,
     rules: list[Rule],
     cfg: GenConfig = GenConfig(),
     runs: int = 10000,
 ) -> SoundnessResult:
-    """Strategies that type as infallible must never produce Failure."""
+    """Strategies that type as infallible must never produce Failure.
+    Each draw, bare rules included, runs under a scheme, or under `try`
+    if that does not type True; runs that exhaust fuel are counted."""
     from .fallibility import sf_type_of
 
     rng = random.Random(f"{cfg.seed}:soundness")
@@ -580,7 +559,7 @@ def check_soundness(
     exhausted = 0
     wrappers = (stop_td, innermost, lambda s: s, try_)
     for _ in range(runs):
-        base = _adhocify(_draw(rules, rng))
+        base = _draw(rules, rng)
         s = rng.choice(wrappers)(base)
         if sf_type_of(s) is not True:
             s = try_(base)

@@ -60,6 +60,10 @@ GOLDENS = {
         0,
         ["run", "nat_tree.sig", "programs/dominated.strat", "terms/tree1.term"],
     ),
+    "run_bare_increment_tree1.out": (
+        3,
+        ["run", "nat_tree.sig", "programs/bare_increment.strat", "terms/tree1.term"],
+    ),
     "run_mchoice_tree1.out": (
         0,
         ["run", "nat_tree.sig", "programs/mchoice.strat", "terms/tree1.term"],
@@ -127,6 +131,10 @@ GOLDENS = {
         0,
         ["analyze", "fallibility", "nat_tree.sig", "programs/stop_increment.strat"],
     ),
+    "fallibility_bare_increment.out": (
+        0,
+        ["analyze", "fallibility", "nat_tree.sig", "programs/bare_increment.strat"],
+    ),
     "fallibility_strict_lint_bait.out": (
         1,
         [
@@ -140,6 +148,10 @@ GOLDENS = {
     "lint_bait.out": (
         1,
         ["lint", "nat_tree.sig", "programs/lint_bait.strat"],
+    ),
+    "lint_bare_choice.out": (
+        0,
+        ["lint", "nat_tree.sig", "programs/bare_choice.strat"],
     ),
     "laws_seed7_cases50.out": (0, ["laws", "--seed", "7", "--cases", "50"]),
 }
@@ -334,16 +346,32 @@ def _run_on_term_file(fixtures_dir, path):
     ids=["run", "laws"],
 )
 def test_a_closed_stdout_exits_2_without_a_traceback(fixtures_dir, argv, unbuffered):
-    # the reader is gone before the first write, as in `stratkit … | head -c 0`;
     # buffered, the write fails at the flush, unbuffered at the first print
+    proc = _into_a_closed_stdout(_resolve(fixtures_dir, argv), unbuffered)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+def test_help_into_a_closed_stdout_exits_2_silently():
+    # argparse prints the help and raises SystemExit; the flush around it
+    # sees the closed pipe. Unbuffered, argparse drops the failed write
+    # itself and exits 0.
+    proc = _into_a_closed_stdout(["--help"], unbuffered=False)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+def _into_a_closed_stdout(argv, unbuffered):
+    """Run the CLI with a stdout whose reader is gone before the first
+    write, as in `stratkit … | head -c 0`."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "stratkit", *_resolve(fixtures_dir, argv)],
+        return subprocess.run(
+            [sys.executable, "-m", "stratkit", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
@@ -352,9 +380,6 @@ def test_a_closed_stdout_exits_2_without_a_traceback(fixtures_dir, argv, unbuffe
         )
     finally:
         os.close(write_end)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "Exception ignored" not in proc.stderr
 
 
 def test_bad_term_file(fixtures_dir, tmp_path):

@@ -22,7 +22,6 @@ from stratkit.fallibility import (
     sf_type_of,
 )
 from stratkit.interp import Failure, FuelExhausted, evaluate
-from stratkit.laws import _adhocify
 from stratkit.strategies import (
     FAIL,
     ID,
@@ -212,11 +211,11 @@ def test_rule_infallibility_requirements(rules):
 
 
 def test_adhoc_merge(rules):
-    assert sf_analyse(Choice(RuleRef(rules["increment"]), FAIL)) is FS
+    # a bare rule is adhoc(fail, r): it fails on every other sort
+    assert sf_analyse(RuleRef(rules["increment"])) is EF
+    assert sf_analyse(Choice(RuleRef(rules["increment"]), FAIL)) is ANY
     assert sf_analyse(RuleRef(rules["dropSucc"])) is EF
     assert sf_analyse(All(Var("s")), {"s": NONE}) is NONE
-    from stratkit.strategies import Adhoc
-
     assert sf_analyse(Adhoc(ID, rules["increment"])) is FS
     assert sf_analyse(Adhoc(ID, rules["dropSucc"])) is EF
     assert sf_analyse(Adhoc(FAIL, rules["increment"])) is EF
@@ -251,8 +250,11 @@ def test_scan_reports_paths_from_the_root(rules):
     assert scan_dead_choices(Choice(ID, FAIL)) == [("root", "id")]
     s = Seq(All(Choice(ID, FAIL)), One(Choice(FAIL, ID)))
     assert scan_dead_choices(s) == [("left/body", "id")]
+    # a bare rule fails on every other sort, so its choice is alive
     inc = RuleRef(rules["increment"])
-    assert scan_dead_choices(Choice(inc, FAIL)) == [("root", "increment")]
+    assert scan_dead_choices(Choice(inc, FAIL)) == []
+    inc = Adhoc(ID, rules["increment"])
+    assert scan_dead_choices(Choice(inc, FAIL)) == [("root", "adhoc(id,increment)")]
     # a finding inside a finding's right operand keeps its full path
     s = All(Choice(ID, Choice(ID, ID)))
     assert scan_dead_choices(s) == [("body", "id"), ("body/right", "id")]
@@ -298,7 +300,7 @@ def test_scan_is_empty_for_honest_choices(rules):
 scheme_wrapped = st.tuples(
     st.sampled_from([lambda x: x, stop_td, innermost, try_, once_bu]),
     strategy_exprs(max_leaves=4),
-).map(lambda p: p[0](_adhocify(p[1])))
+).map(lambda p: p[0](p[1]))
 
 
 @given(scheme_wrapped, terms)

@@ -353,3 +353,10 @@ def test_builtin_corpus_is_reusable():
         "atOdd",
         "flipTrue",
     ]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2026])
+def test_no_strategy_typed_infallible_fails(sig, rules, seed):
+    # the draws hold bare rules, which type fallible as `adhoc(fail, r)` does
+    result = check_soundness(sig, list(rules.values()), GenConfig(seed=seed), runs=10_000)
+    assert (result.runs, result.failures) == (10_000, 0), result.line()

@@ -1,6 +1,7 @@
 """The strategy walks against the recursive code they replaced.
 
-walker_oracle.py keeps the old recursive ladders verbatim. On generated
+walker_oracle.py keeps the old recursive ladders, verbatim but for the
+bare-rule leaf of the two fallibility ladders. On generated
 strategies with rec binders (nested and shadowing), bound and free
 variables, and adhoc defaults, every function ported onto
 `strategies.walk` must give the same result, print the same text, or
@@ -16,7 +17,7 @@ those definitions out; test_dsl.py holds the mended lint to its text.
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import step_oracle
@@ -24,8 +25,8 @@ import walker_oracle as oracle
 from genlib import nat, terms
 from stratkit.dsl import Def, _param_linearity_lints
 from stratkit.fallibility import Sf, scan_dead_choices, sf_analyse, sf_type_of
-from stratkit.interp import CompiledStrategy, Success
-from stratkit.laws import _adhocify, builtin_rules, builtin_signature
+from stratkit.interp import CompiledStrategy, FuelExhausted, Success
+from stratkit.laws import builtin_rules, builtin_signature
 from stratkit.reachability import _rule_map, dead_case_report, mentioned_cases, reach_analyse
 from stratkit.strategies import (
     CHILD_FIELDS,
@@ -44,7 +45,9 @@ from stratkit.strategies import (
     free_occurrences,
     free_vars,
     print_strategy,
+    rebuild,
     substitute,
+    walk,
 )
 from stratkit.termination import ANY, LEQ, LESS, parse_measure, term_analyse, term_type_of
 
@@ -109,7 +112,6 @@ def test_printing_variables_cases_and_rebuilds_match_the_oracle(s):
     assert_same(free_vars, oracle.free_vars, s)
     assert frozenset(free_occurrences(s)) == oracle.free_vars(s)
     assert_same(mentioned_cases, oracle.mentioned_cases, s)
-    assert_same(_adhocify, oracle._adhocify, s)
 
 
 @given(strategies(), st.dictionaries(st.sampled_from(NAMES), strategies(4), max_size=3))
@@ -219,6 +221,57 @@ def test_termination_matches_the_oracle(s, m, effects, r):
     assert_same(term_type_of, oracle.term_type_of, s, m, env)
 
 
+def bare_rules_under_adhoc(s):
+    """s with every bare rule `r` written `adhoc(fail, r)`."""
+    return walk(_bare_rule_under_adhoc, s)
+
+
+def _bare_rule_under_adhoc(s):
+    if isinstance(s, RuleRef):
+        return Adhoc(FAIL, s.rule)
+    return (yield from rebuild(s))
+
+
+@settings(deadline=None)
+@given(
+    strategies(),
+    st.dictionaries(st.sampled_from(NAMES), st.sampled_from(list(Sf))),
+    st.dictionaries(st.sampled_from(NAMES), st.sampled_from([True, False])),
+    st.dictionaries(st.sampled_from(NAMES), st.sampled_from(RULES)),
+    st.sampled_from(MEASURES),
+    st.dictionaries(
+        st.sampled_from(NAMES), st.tuples(st.lists(rels, min_size=2, max_size=2), st.booleans())
+    ),
+    st.lists(rels, min_size=2, max_size=2),
+    terms,
+)
+@example(RuleRef(RULES[0]), {}, {}, {}, MEASURES[0], {}, [LESS, LESS], nat(0))
+def test_a_bare_rule_is_adhoc_fail_to_every_walk(s, sf_env, ctx, env_rules, m, effects, r, t):
+    # the machine runs `r` as `adhoc(fail, r)`, so every analysis gives
+    # both the same value; only the fuel they take differs
+    assume(rec_nesting(s) <= 3)
+    a = bare_rules_under_adhoc(s)
+    reach_env = {name: _rule_map(SIG, rule) for name, rule in env_rules.items()}
+    n = len(m)
+    term_env = {name: (tuple(vec[-n:]), recursive) for name, (vec, recursive) in effects.items()}
+    for analysis in (
+        lambda x: sf_analyse(x, sf_env),
+        lambda x: sf_type_of(x, ctx),
+        lambda x: sf_type_of(x, ctx, strict=True),
+        lambda x: reach_analyse(SIG, x, reach_env),
+        lambda x: term_analyse(x, m, tuple(r[-n:]), term_env),
+    ):
+        assert outcome(analysis, s) == outcome(analysis, a)
+    for name in sorted(oracle.free_vars(s)):
+        s = Rec(name, s)
+    ran = []
+    for strategy in (s, bare_rules_under_adhoc(s)):
+        trace = set()
+        ran.append((outcome(CompiledStrategy(strategy, SIG).run, t, FUEL, trace), trace))
+    if not any(isinstance(out[1], FuelExhausted) for out, _ in ran):
+        assert ran[0] == ran[1]
+
+
 # ---------------------------------------------------------------------------
 # The compiler, through what its code does
 
@@ -264,7 +317,7 @@ def test_every_walk_runs_beyond_the_recursion_limit(shape):
     assert free_vars(s) == frozenset()
     # deep records do not compare without recursion; their text does
     assert print_strategy(substitute(s, {"v": ID})) == text
-    assert print_strategy(_adhocify(s)) == text
+    assert print_strategy(bare_rules_under_adhoc(s)) == text
     assert sf_analyse(s) is Sf.FORALL_SUCCESS
     assert sf_type_of(s, strict=True) is True
     assert scan_dead_choices(s) == []

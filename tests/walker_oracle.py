@@ -1,9 +1,11 @@
 """Reference oracle for the strategy walks: the recursive `isinstance`
 ladders that `stratkit` replaced with steps on `strategies.walk`, kept
-verbatim. Only the imports changed: each call names the copy in this
-module, and the `ANY` of fallibility and of termination are told apart
-as `ANY_SF` and `ANY_REL`. They recurse on the Python stack, so they
-serve small generated strategies only.
+verbatim but for two things. The imports: each call names the copy in
+this module, and the `ANY` of fallibility and of termination are told
+apart as `ANY_SF` and `ANY_REL`. And the two fallibility ladders read a
+bare rule `r` as `adhoc(fail, r)`, which is how the machine runs it.
+They recurse on the Python stack, so they serve small generated
+strategies only.
 
 test_walker.py holds the walk-based code to their results, printed text
 and exceptions.
@@ -27,7 +29,6 @@ from stratkit.fallibility import (
 )
 from stratkit.reachability import ReachMap, _rule_map, reach_bottom, reach_lub, reach_transform
 from stratkit.strategies import (
-    ID,
     Adhoc,
     All,
     Choice,
@@ -195,7 +196,7 @@ def sf_analyse(s: Strategy, env: Optional[dict[str, Sf]] = None) -> Sf:
     if isinstance(s, One):
         return EF
     if isinstance(s, RuleRef):
-        return FS if rule_infallible(s.rule) else EF
+        return EF
     if isinstance(s, Adhoc):
         d = sf_analyse(s.default, env)
         r = FS if rule_infallible(s.rule) else EF
@@ -258,7 +259,7 @@ def sf_type_of(
             return None
         return False
     if isinstance(s, RuleRef):
-        return rule_infallible(s.rule)
+        return False
     if isinstance(s, Adhoc):
         a = sf_type_of(s.default, ctx, strict)
         if a is None:
@@ -450,34 +451,6 @@ def term_type_of(
     s: Strategy, m: Measure, env: Optional[TermEnv] = None
 ) -> Optional[RelVec]:
     return term_analyse(s, m, leqs(m), env)
-
-
-# ---------------------------------------------------------------------------
-# laws
-
-
-def _adhocify(s: Strategy) -> Strategy:
-    """Push every bare rule reference under sort dispatch.
-
-    The infallibility annotation on a rule speaks only about terms of
-    the rule's own sort; a bare reference hitting a foreign sort fails
-    by definition. Typed-infallible claims are therefore only meaningful
-    for strategies where rules enter through adhoc, so the soundness
-    sampler normalizes to that fragment.
-    """
-    if isinstance(s, RuleRef):
-        return Adhoc(ID, s.rule)
-    if isinstance(s, Seq):
-        return Seq(_adhocify(s.left), _adhocify(s.right))
-    if isinstance(s, Choice):
-        return Choice(_adhocify(s.left), _adhocify(s.right))
-    if isinstance(s, All):
-        return All(_adhocify(s.body))
-    if isinstance(s, One):
-        return One(_adhocify(s.body))
-    if isinstance(s, Adhoc):
-        return Adhoc(_adhocify(s.default), s.rule)
-    return s
 
 
 # ---------------------------------------------------------------------------
