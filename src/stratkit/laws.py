@@ -1,4 +1,5 @@
-"""Checks of the algebraic laws of the core combinators.
+"""Checks of the algebraic laws of the core combinators and of the
+traversal schemes.
 
 The laws are equalities between strategy expressions (some guarded by a
 constant/non-constant side condition on the term). Each is checked on
@@ -12,9 +13,14 @@ stream is the counterexample, so one found among the small cases is
 already minimal and nothing is shrunk.
 
 Three putative equalities are known to be false; the same search runs
-for them, and they pass when it finds a counterexample. Laws and
-non-laws are rows of one table shape, `Law`, and every check reports
-results whose `passed` says whether the check met its expectation.
+for them, and they pass when it finds a counterexample. The scheme
+properties are equations on one argument, checked by the same search:
+a strategy `s` never fails exactly when s = try(s), so "never fails"
+is an equation that holds and "can fail" one that must be refuted.
+Laws, non-laws and properties are rows of one table shape, `Law`, and
+every check reports results whose `passed` says whether the check met
+its expectation. Only the soundness sweep of the fallibility typing
+draws its own random cases.
 
 Everything here is seeded. random.Random with a string seed hashes the
 string, so per-law generators are stable across processes.
@@ -27,7 +33,7 @@ import warnings
 from collections.abc import Callable
 from itertools import islice
 
-from .interp import Failure, FuelExhausted, Outcome, Success, evaluate
+from .interp import Failure, FuelExhausted, Success, evaluate
 from .records import mutable_record, record
 from .strategies import (
     FAIL,
@@ -206,7 +212,8 @@ def _draw(rules: list[Rule], rng: random.Random) -> Strategy:
 @record
 class Law:
     """A putative equality between two strategy expressions over `slots`
-    strategy arguments; LAWS hold, NONLAWS do not."""
+    strategy arguments; LAWS hold, NONLAWS do not, and PROPERTIES hold
+    unless `refuted`."""
 
     name: str
     slots: int
@@ -214,6 +221,8 @@ class Law:
     term_condition: str | None
     lhs: Callable[..., Strategy]
     rhs: Callable[..., Strategy]
+    #: True for a property that passes when its equation is refuted
+    refuted: bool = False
 
 
 LAWS: tuple[Law, ...] = (
@@ -286,13 +295,40 @@ NONLAWS: tuple[Law, ...] = (
 )
 
 
+def _quiet_stop_bu(s: Strategy) -> Strategy:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BogusSchemeWarning)
+        return stop_bu(s)
+
+
+#: each an equation on one argument: `s` never fails exactly when s = try(s);
+#: each scheme is looked up when a case is built, so a test can swap it
+PROPERTIES: tuple[Law, ...] = (
+    # stop_td and innermost can never fail, whatever the argument
+    Law("stop_td-never-fails", 1, None, lambda a: stop_td(a), lambda a: try_(stop_td(a))),
+    Law("innermost-never-fails", 1, None, lambda a: innermost(a), lambda a: try_(innermost(a))),
+    # full_td and full_bu preserve infallibility of the argument
+    Law("full_td-infallible-arg", 1, None,
+        lambda a: full_td(try_(a)), lambda a: try_(full_td(try_(a)))),
+    Law("full_bu-infallible-arg", 1, None,
+        lambda a: full_bu(try_(a)), lambda a: try_(full_bu(try_(a)))),
+    # once_td and once_bu are fallible: some input must fail
+    Law("once_td-failure-witnessed", 1, None,
+        lambda a: once_td(a), lambda a: try_(once_td(a)), refuted=True),
+    Law("once_bu-failure-witnessed", 1, None,
+        lambda a: once_bu(a), lambda a: try_(once_bu(a)), refuted=True),
+    # the descend-first bottom-up scheme is a deep identity traversal
+    Law("stop_bu-deep-identity", 1, None, lambda a: _quiet_stop_bu(a), lambda a: ID),
+)
+
+
 LAW, PROPERTY = "LAW", "PROPERTY"
 
 
 @mutable_record
 class SampledResult:
     """A law (kind LAW) or scheme property (kind PROPERTY) checked on
-    `cases` sampled cases; `detail` is the counterexample, "" if none."""
+    `cases` cases; `detail` is the counterexample, "" if none."""
 
     kind: str
     name: str
@@ -326,17 +362,33 @@ class NonlawResult:
 
 
 # ---------------------------------------------------------------------------
-# One size-ordered search for laws and non-laws
+# One size-ordered search for laws, non-laws and scheme properties
 
 
 def check_laws(
     sig: Signature, rules: list[Rule], cfg: GenConfig = GenConfig()
 ) -> list[SampledResult]:
     """Each law on the first cfg.cases cases of its stream."""
+    return _check(LAW, LAWS, sig, rules, cfg)
+
+
+def check_scheme_properties(
+    sig: Signature, rules: list[Rule], cfg: GenConfig = GenConfig()
+) -> list[SampledResult]:
+    """Each scheme property on the first cfg.cases cases of its stream;
+    one that must be refuted is searched as a non-law is."""
+    return _check(PROPERTY, PROPERTIES, sig, rules, cfg)
+
+
+def _check(kind: str, table: tuple[Law, ...], sig: Signature, rules: list[Rule], cfg: GenConfig):
     results = []
-    for law in LAWS:
-        discards, failure = _search(law, sig, rules, cfg, cfg.fuel)
-        results.append(SampledResult(LAW, law.name, not failure, cfg.cases, discards, failure))
+    for law in table:
+        # a refutation needs one witness, whatever the case count
+        budget = GenConfig(cfg.seed) if law.refuted else cfg
+        discards, failure = _search(law, sig, rules, budget, cfg.fuel)
+        passed = bool(failure) == law.refuted
+        detail = "" if law.refuted else failure
+        results.append(SampledResult(kind, law.name, passed, cfg.cases, discards, detail))
     return results
 
 
@@ -367,10 +419,15 @@ def _search(
         elif type(left) is not type(right) or (
             isinstance(left, Success) and not term_eq(left.term, right.term)
         ):
-            return discards, (
-                f"{_render_case(strategies, t)}"
-                f" left={_show_outcome(left)} right={_show_outcome(right)}"
-            )
+            from .files import term_to_sexpr
+
+            parts = [f"s{i + 1}={print_strategy(s)}" for i, s in enumerate(strategies)]
+            parts.append(f"t={term_to_sexpr(t)}")
+            # each outcome as the CLI prints it
+            for side, o in (("left", left), ("right", right)):
+                shown = term_to_sexpr(o.term) if isinstance(o, Success) else "FAIL"
+                parts.append(f"{side}={shown}")
+            return discards, " ".join(parts)
     return discards, ""
 
 
@@ -443,85 +500,8 @@ def _candidates(universe, slots):
         yield from fill(total, slots)
 
 
-def _render_case(strategies: tuple[Strategy, ...], t: Term) -> str:
-    from .files import term_to_sexpr
-
-    parts = [f"s{i + 1}={print_strategy(s)}" for i, s in enumerate(strategies)]
-    parts.append(f"t={term_to_sexpr(t)}")
-    return " ".join(parts)
-
-
-def _show_outcome(o: Outcome) -> str:
-    """A Success or Failure as the CLI prints it."""
-    from .files import term_to_sexpr
-
-    return term_to_sexpr(o.term) if isinstance(o, Success) else "FAIL"
-
-
 # ---------------------------------------------------------------------------
-# Scheme properties and empirical soundness
-
-
-def _quiet_stop_bu(s: Strategy) -> Strategy:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BogusSchemeWarning)
-        return stop_bu(s)
-
-
-def _never_fails(out: Outcome, t: Term) -> bool:
-    return not isinstance(out, Failure)
-
-
-#: name, seed label, scheme, wrapper of the generated argument, and the
-#: predicate every outcome must meet (None: one Failure must witness it)
-_SCHEME_PROPERTIES = (
-    # stop_td and innermost can never fail, whatever the argument
-    ("stop_td-never-fails", "infallible:stop_td", stop_td, None, _never_fails),
-    ("innermost-never-fails", "infallible:innermost", innermost, None, _never_fails),
-    # full_td and full_bu preserve infallibility of the argument
-    ("full_td-infallible-arg", "full:full_td", full_td, try_, _never_fails),
-    ("full_bu-infallible-arg", "full:full_bu", full_bu, try_, _never_fails),
-    # once_td and once_bu are fallible: some input must fail
-    ("once_td-failure-witnessed", "fallible:once_td", once_td, None, None),
-    ("once_bu-failure-witnessed", "fallible:once_bu", once_bu, None, None),
-    # the descend-first bottom-up scheme is a deep identity traversal
-    (
-        "stop_bu-deep-identity",
-        "stop_bu-identity",
-        _quiet_stop_bu,
-        None,
-        lambda out, t: isinstance(out, Success) and term_eq(out.term, t),
-    ),
-)
-
-
-def check_scheme_properties(
-    sig: Signature, rules: list[Rule], cfg: GenConfig = GenConfig()
-) -> list[SampledResult]:
-    results = []
-    for name, label, scheme, wrap, holds in _SCHEME_PROPERTIES:
-        rng = random.Random(f"{cfg.seed}:prop:{label}")
-        discards = 0
-        bad = ""
-        witnessed = False
-        for _ in range(cfg.cases):
-            s = _draw(rules, rng)
-            if wrap is not None:
-                s = wrap(s)
-            t = gen_term(sig, rng, cfg.max_term_depth)
-            out = evaluate(scheme(s), t, sig, cfg.fuel)
-            if isinstance(out, FuelExhausted):
-                discards += 1
-            elif holds is None:
-                if isinstance(out, Failure):
-                    witnessed = True
-                    break
-            elif not holds(out, t):
-                bad = _render_case((s,), t)
-                break
-        passed = witnessed if holds is None else not bad
-        results.append(SampledResult(PROPERTY, name, passed, cfg.cases, discards, bad))
-    return results
+# Empirical soundness
 
 
 @mutable_record

@@ -297,53 +297,30 @@ def _compile(q: QueryExpr, sig: Signature, monoid: MonoidSpec):
             return fold(hits)
 
         return all_q
-    if isinstance(q, FullCl):
+    # the three collection schemes are one preorder walk, left to right:
+    # stop_cl's hit prunes the descent below its node, and once_cl's
+    # first hit is the value; full_cl counts a no-result node as the
+    # unit, so collection is total
+    prune = not isinstance(q, FullCl)
+    first = isinstance(q, OnceCl)
 
-        def full_cl(t):
-            # every node contributes, preorder; a no-result node counts
-            # as the unit so collection is total
-            hits = []
-            stack = [t]
-            while stack:
-                x = stack.pop()
-                r = body(x)
-                if r is not NO_RESULT:
-                    hits.append(r)
-                if x.children:
-                    stack.extend(reversed(x.children))
-            return fold(hits)
-
-        return full_cl
-    if isinstance(q, StopCl):
-
-        def stop_cl(t):
-            # a hit contributes and stops the descent below that node
-            hits = []
-            stack = [t]
-            while stack:
-                x = stack.pop()
-                r = body(x)
-                if r is not NO_RESULT:
-                    hits.append(r)
-                elif x.children:
-                    stack.extend(reversed(x.children))
-            return fold(hits)
-
-        return stop_cl
-
-    def once_cl(t):
-        # first hit in preorder, left to right
+    def collect(t):
+        hits = []
         stack = [t]
         while stack:
             x = stack.pop()
             r = body(x)
             if r is not NO_RESULT:
-                return r
+                if first:
+                    return r
+                hits.append(r)
+                if prune:
+                    continue
             if x.children:
                 stack.extend(reversed(x.children))
-        return NO_RESULT
+        return NO_RESULT if first else fold(hits)
 
-    return once_cl
+    return collect
 
 
 def _compile_case(case: QueryRule, monoid: MonoidSpec):

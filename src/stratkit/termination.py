@@ -327,10 +327,9 @@ def _term_analyse(s: Strategy, m: Measure, r: RelVec, env: TermEnv):
             # decrease cannot survive it; one() always fires on a child.
             prefix = tuple(rel_lub(a, b) for a, b in zip(r[:-1], prefix))
         return prefix + (rel_increase(got[-1]),)
-    if isinstance(s, RuleRef):
-        return vec_plus(r, rule_effect(s.rule, m))
-    if isinstance(s, Adhoc):
-        a = yield s.default, m, r, env
+    if isinstance(s, (RuleRef, Adhoc)):
+        # a bare rule is adhoc(fail, r)
+        a = (yield s.default, m, r, env) if isinstance(s, Adhoc) else (LESS,) * n
         if a is None:
             return None
         return vec_lub(a, vec_plus(r, rule_effect(s.rule, m)))

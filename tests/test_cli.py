@@ -552,21 +552,55 @@ def test_deep_chain_queries_from_the_cli(fixtures_dir, tmp_path, scheme, qrule, 
     assert proc.stdout == f"{want}\n"
 
 
+#: an input of each kind nested deeper than the recursion limit
+DEEP_INPUTS = {
+    "strategy": ("deep.strat", "main = " + "all(" * 1000 + "id" + ")" * 1000 + "\n"),
+    "rule pattern": (
+        "deep.strat",
+        "rule deep : Nat = " + "(Succ " * 3000 + "n" + ")" * 3000 + " -> n\n"
+        "main = adhoc(id, deep)\n",
+    ),
+    "rule choice": (
+        "deep.strat",
+        "rule a : Nat = n -> n\n"
+        "main = adhoc(id, " + "rule_choice(a, " * 400 + "a" + ")" * 400 + ")\n",
+    ),
+    "query": (
+        "deep.query",
+        "qrule one : Nat = n -> 1:Count\n"
+        "main = " + "full_cl(" * 1000 + "adhocq(failq, one)" + ")" * 1000 + "\n",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "command",
-    [["run"], ["lint"], ["analyze", "fallibility"], ["analyze", "termination"]],
+    "command, kind",
+    [
+        (["run"], "strategy"),
+        (["lint"], "strategy"),
+        (["analyze", "fallibility"], "strategy"),
+        (["analyze", "termination"], "strategy"),
+        (["run"], "rule pattern"),
+        (["run"], "rule choice"),
+        (["query"], "query"),
+    ],
 )
 def test_nesting_beyond_the_recursion_limit_is_a_usage_error(
-    fixtures_dir, tmp_path, command
+    fixtures_dir, tmp_path, command, kind
 ):
-    # strategies are walked on an explicit stack; the parser still
-    # recurses on nested forms
-    prog = tmp_path / "deep.strat"
-    prog.write_text("main = " + "all(" * 1000 + "id" + ")" * 1000 + "\n")
+    # strategies are walked on an explicit stack; the parser and a few
+    # walks over rules still recurse on nested forms
+    name, text = DEEP_INPUTS[kind]
+    prog = tmp_path / name
+    prog.write_text(text)
     term = tmp_path / "zero.term"
     term.write_text("(Zero)\n")
     argv = [*command, str(fixtures_dir / "nat_tree.sig"), str(prog)]
-    proc = _cli(argv + [str(term)] if command == ["run"] else argv)
+    if command == ["run"]:
+        argv.append(str(term))
+    elif command == ["query"]:
+        argv += [str(term), "--monoid", "count"]
+    proc = _cli(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -778,6 +812,16 @@ def test_laws_command_reports_every_check():
     assert sum(1 for x in lines if x.startswith("PROPERTY ")) == 8
     assert all(" FAIL" not in x for x in lines)
     assert all("NO-COUNTEREXAMPLE" not in x for x in lines)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2026])
+@pytest.mark.parametrize("cases", [1, 2, 3])
+def test_laws_command_passes_at_any_case_count(seed, cases):
+    # a property that must be refuted is searched on a non-law's budget,
+    # so a few cases cannot miss its witness
+    result = call_main(["laws", "--seed", str(seed), "--cases", str(cases)])
+    assert result.exit_code == 0, result.stdout
+    assert " FAIL" not in result.stdout
 
 
 def test_laws_command_exits_1_when_a_check_fails(monkeypatch):
