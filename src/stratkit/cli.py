@@ -21,7 +21,7 @@ from .dsl import load_program, load_query_program
 from .errors import SignatureError, StratkitError
 from .files import load_term, term_to_sexpr
 from .interp import DEFAULT_FUEL, Failure, FuelExhausted, Success, evaluate
-from .queries import NO_RESULT, check_query_kinds, get_monoid, MONOIDS
+from .queries import NO_RESULT, check_query_kinds, get_monoid, MONOIDS, run_query
 from .terms import validate_term
 
 
@@ -44,8 +44,6 @@ def run(args) -> int:
 
 def query(args) -> int:
     """Run QUERYFILE's main query over TERM, combining with a monoid."""
-    from .queries import run_query
-
     qprog = load_query_program(args.signature, args.queryfile)
     t = load_term(args.term)
     validate_term(qprog.signature, t)
@@ -126,16 +124,24 @@ def reach(args) -> int:
     return 1 if dead else 0
 
 
+def _termination_vectors(prog, m):
+    """(label, termination vector under m) of each definition, in order,
+    then main; parameters are unknown."""
+    from .termination import ANY, term_type_of
+
+    unknown = ((ANY,) * len(m), False)
+    for label, body, params in _definitions(prog):
+        yield label, term_type_of(body, m, {p: unknown for p in params})
+
+
 def termination(args) -> int:
     """Prove (or fail to prove) termination under a measure."""
-    from .termination import ANY, show_vec, term_type_of, verify_annotations
+    from .termination import show_vec, verify_annotations
 
     prog = load_program(args.signature, args.program)
     m = _measure(args.measure, prog.signature)
     findings = 0
-    unknown = ((ANY,) * len(m), False)
-    for label, body, params in _definitions(prog):
-        vec = term_type_of(body, m, {p: unknown for p in params})
+    for label, vec in _termination_vectors(prog, m):
         if vec is None:
             findings += 1
         print(f"{label}: {show_vec(vec)}")
@@ -171,7 +177,7 @@ def lint(args) -> int:
     """All load checks, lints, and analysis findings in one pass."""
     from .fallibility import scan_dead_choices
     from .reachability import dead_case_report
-    from .termination import ANY, term_type_of, verify_annotations
+    from .termination import verify_annotations
 
     prog = load_program(args.signature, args.program)
     # a bad --root or --measure is reported before any finding is printed
@@ -181,15 +187,13 @@ def lint(args) -> int:
     for line in prog.lints:
         findings += 1
         print(f"lint: {line}")
-    items = _definitions(prog)
-    for label, body, params in items:
+    for label, body, params in _definitions(prog):
         findings += _dead_choices(label, scan_dead_choices(body, {p: False for p in params}))
     for _case, diagnostic in dead:
         findings += 1
         print(diagnostic)
-    unknown = ((ANY,) * len(m), False)
-    for label, body, params in items:
-        if term_type_of(body, m, {p: unknown for p in params}) is None:
+    for label, vec in _termination_vectors(prog, m):
+        if vec is None:
             findings += 1
             print(f"{label}: termination NOT PROVEN under {args.measure}")
     for diagnostic in verify_annotations(prog.rules.values(), m):
@@ -274,8 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except StratkitError as exc:
         message = str(exc)
     except RecursionError:
-        # strategies are walked on an explicit stack; only the parser on
-        # nested forms recurses on the Python stack
+        # strategies are walked on an explicit stack; the parser on nested
+        # forms and the functions on nested rule patterns, rule_choice and
+        # rule_seq recurse on the Python stack
         message = ("input nested too deeply: it exceeds the Python recursion "
                    f"limit of {sys.getrecursionlimit()} frames")
     print(message, file=sys.stderr)

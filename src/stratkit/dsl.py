@@ -79,7 +79,6 @@ from .strategies import (
     binder_numbering,
     family,
     free_occurrences,
-    free_vars,
     full_bu,
     full_bu1,
     full_td,
@@ -164,9 +163,7 @@ def _positions(text: str, origin: str | None = None):
     try:
         yield
     except _Error as exc:
-        line = text.count("\n", 0, exc.at) + 1
-        col = exc.at - text.rfind("\n", 0, exc.at)
-        raise ParseError(str(exc), line, col, origin) from None
+        raise ParseError.at(str(exc), text, exc.at, origin) from None
 
 
 def tokenize(text: str, query: bool = False) -> list[Token]:
@@ -597,9 +594,6 @@ class _Parser:
             diags.append(f"def {name!r}: duplicate parameter names")
         self.expect("=")
         expr = self.body(f"def {name!r}", params)
-        stray = free_vars(expr) - set(params)
-        if stray:
-            diags.append(f"def {name!r}: unbound variables: " + ", ".join(sorted(stray)))
         d = Def(name, tuple(params), expr)
         _param_linearity_lints(d, self.lints)
         self.defs[name] = d
@@ -667,7 +661,6 @@ def _check_rule_patterns(
     rhs: Pattern,
     diags: list[str],
     kind: str = "rule",
-    check_rhs_sort: bool = True,
 ) -> None:
     where = f"{kind} {name!r}"
     if sort not in sig.sorts:
@@ -679,7 +672,7 @@ def _check_rule_patterns(
     if missing:
         names = ", ".join(sorted(missing))
         diags.append(f"{where}: rhs uses unbound variables: {names}")
-    if check_rhs_sort:
+    if kind == "rule":  # a query rule's extraction is no term of its sort
         _check_pattern(sig, rhs, sort, dict(binding), where + " rhs", diags)
 
 
@@ -740,9 +733,6 @@ def parse_program(
             else:
                 p.expect("=")
                 main = p.body("main")
-                stray = free_vars(main)
-                if stray:
-                    diags.append("main: unbound variables: " + ", ".join(sorted(stray)))
 
     if main is None:
         diags.append("program has no main")
@@ -780,11 +770,8 @@ def parse_query_program(
                 if qr.name in p.qrules:
                     diags.append(f"query rule {qr.name!r} declared twice")
                 p.qrules[qr.name] = qr
-                # the extraction side is not a term of the rule's sort, so
-                # only the lhs is checked against the signature
                 _check_rule_patterns(
-                    sig, qr.name, qr.sort, qr.lhs, qr.extract, diags,
-                    kind="query rule", check_rhs_sort=False,
+                    sig, qr.name, qr.sort, qr.lhs, qr.extract, diags, kind="query rule"
                 )
             else:
                 p.expect("=")

@@ -27,6 +27,12 @@ class ParseError(StratkitError):
             message = f"{':'.join(where)}: {message}"
         super().__init__(message)
 
+    @classmethod
+    def at(cls, message: str, text: str, offset: int, origin: str | None = None):
+        """The error at character offset in text, by line and column."""
+        line = text.count("\n", 0, offset) + 1
+        return cls(message, line, offset - text.rfind("\n", 0, offset), origin)
+
 
 class SignatureError(StratkitError):
     """A signature is ill-formed or a sort/constructor lookup failed."""

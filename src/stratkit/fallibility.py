@@ -13,11 +13,11 @@ walk's by-product, so the strict verdict and the scan are two walks: the
 verdict is not read off the scan (`rec x. (x <+ fail)` types True
 leniently, False strictly, and has one dead choice).
 
-Rules enter through sort dispatch: a bare rule `r` is `adhoc(fail, r)`,
-as the machine runs it. An annotated-infallible rule with a bare
-variable left side and no guard cannot fail on its own sort; any other
-can. Adhoc gets its own conservative merge, infallible only when both
-branches are: sort dispatch is neither sequencing nor backtracking.
+Rules enter through sort dispatch, a bare rule through the `default`
+that `strategies.RuleRef` gives it. An annotated-infallible rule with a
+bare variable left side and no guard cannot fail on its own sort; any
+other can. Adhoc gets its own conservative merge, infallible only when
+both branches are: sort dispatch is neither sequencing nor backtracking.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _sf_analyse(s: Strategy, env: dict[str, Sf]):
     if isinstance(s, One):
         return EF
     if isinstance(s, (RuleRef, Adhoc)):
-        d = (yield s.default, env) if isinstance(s, Adhoc) else EF
+        d = yield s.default, env
         r = FS if rule_infallible(s.rule) else EF
         if d is NONE:
             return NONE
@@ -243,15 +243,15 @@ def _sf_type_of(
         if isinstance(got, EngineError):
             slots[at] = got
         return got
-    if isinstance(s, (All, One, Adhoc)):
-        field = "default" if isinstance(s, Adhoc) else "body"
+    if isinstance(s, (All, One, Adhoc, RuleRef)):
+        field = "body" if isinstance(s, (All, One)) else "default"
         a = yield getattr(s, field), ctx, strict, (field, path), slots
         if a is None or isinstance(a, EngineError) or isinstance(s, All):
             return a
         return False if isinstance(s, One) else a and rule_infallible(s.rule)
     if isinstance(s, Id):
         return True
-    if isinstance(s, (Fail, RuleRef)):
+    if isinstance(s, Fail):
         return False
     if isinstance(s, Var):
         try:

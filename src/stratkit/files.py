@@ -13,7 +13,7 @@ import re
 from functools import partial
 
 from .errors import ParseError, SignatureError
-from .terms import Lit, Node, Signature, Symbol, Term
+from .terms import PRIM_KINDS, Lit, Node, Signature, Symbol, Term
 
 # ---------------------------------------------------------------------------
 # Signature files
@@ -59,7 +59,7 @@ def parse_signature(text: str, origin: str | None = None) -> Signature:
             if ":" not in rest:
                 raise err(lineno, f"bad prim declaration {raw.strip()!r}")
             name, kind = (part.strip() for part in rest.split(":", 1))
-            if not name or kind not in ("int", "float", "string"):
+            if not name or kind not in PRIM_KINDS:
                 raise err(lineno, f"bad prim declaration {raw.strip()!r}")
             sorts.append(name)
             prims[name] = kind
@@ -257,9 +257,7 @@ def _fail(text: str, tokens: list[str], origin: str | None, message: str, k: int
             if tag == ":":
                 message, k = "missing sort tag after string", j
                 break
-    at = sum(map(len, tokens[:k]))
-    line = text.count("\n", 0, at) + 1
-    raise ParseError(message, line, at - text.rfind("\n", 0, at), origin)
+    raise ParseError.at(message, text, sum(map(len, tokens[:k])), origin)
 
 
 def load_term(path: str) -> Term:

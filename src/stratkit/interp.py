@@ -23,9 +23,9 @@ machine dispatches less often than that. An instruction is a list
     `s` fails;
   - `adhoc(d, r) ; s`, the body of `full_td` over `adhoc`, is an
     `OP_ADHOC` with a next instruction: when the rule fires, the machine
-    goes on to `s` with no sequence frame. A bare rule `r` is an
-    `OP_ADHOC` without a default, which fails at once on another sort,
-    so `r ; s` is fused the same way;
+    goes on to `s` with no sequence frame. A bare rule `r` (see
+    `strategies.RuleRef`) is an `OP_ADHOC` without a default, one unit
+    that fails at once on another sort, so `r ; s` is fused the same way;
   - `one(x) <+ s`, the body of `once_bu`, is an `OP_ONE` with a
     fallback: one frame per level instead of a choice frame and a `one`
     frame, and a unary node is rebuilt without copying its children.
@@ -180,6 +180,7 @@ def _compile(s: Strategy, env: dict[str, list]):
                 ref[1] += 1
         return code
     if isinstance(s, (RuleRef, Adhoc)):
+        # a bare rule's FAIL default is not compiled: the rule costs one unit
         default = (yield s.default, env) if isinstance(s, Adhoc) else None
         return [OP_ADHOC, 1, default, s.rule.sort, compile_rule(s.rule), rule_names(s.rule), None]
     raise EngineError(f"cannot compile {s!r}")

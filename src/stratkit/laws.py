@@ -160,24 +160,6 @@ def gen_term(
     return build(sort, max(max_depth, md[sort]))
 
 
-def gen_constant_term(sig: Signature, rng: random.Random) -> Term:
-    nullary = sorted(sym.constr for sym in sig.symbols if not sym.arg_sorts)
-    prims = sorted(sig.prim_sorts)
-    if prims and (not nullary or rng.random() < 0.3):
-        return _random_lit(sig, rng, rng.choice(prims))
-    return Node(rng.choice(nullary))
-
-
-def gen_nonconstant_term(
-    sig: Signature, rng: random.Random, max_depth: int
-) -> Term:
-    for _ in range(64):
-        t = gen_term(sig, rng, max_depth)
-        if t.children:
-            return t
-    raise RuntimeError("signature generates no non-constant terms")
-
-
 def gen_strategy(
     rules: list[Rule], rng: random.Random, size: int
 ) -> Strategy:
@@ -431,11 +413,15 @@ def _search(
     return discards, ""
 
 
+#: whether a term meeting each condition has children; None: either way
+_HAS_CHILDREN = {"constant": False, "nonconstant": True}
+
+
 def _cases(law: Law, sig: Signature, rules: list[Rule], seed: int):
     """Every strategy tuple of the small universe, in `_candidates`
     order, with every small term that meets law's condition; then
     seeded random draws, without end."""
-    has_children = {"constant": False, "nonconstant": True}.get(law.term_condition)
+    has_children = _HAS_CHILDREN.get(law.term_condition)
     terms = [t for t in _term_universe() if has_children in (None, bool(t.children))]
     for strategies in _candidates(_strategy_universe(rules), law.slots):
         for t in terms:
@@ -447,11 +433,13 @@ def _cases(law: Law, sig: Signature, rules: list[Rule], seed: int):
 
 
 def _gen_case_term(law: Law, sig: Signature, rng: random.Random) -> Term:
-    if law.term_condition == "constant":
-        return gen_constant_term(sig, rng)
-    if law.term_condition == "nonconstant":
-        return gen_nonconstant_term(sig, rng, GenConfig.max_term_depth)
-    return gen_term(sig, rng, GenConfig.max_term_depth)
+    """The first of 64 gen_term draws that meets law's condition."""
+    has_children = _HAS_CHILDREN.get(law.term_condition)
+    for _ in range(64):
+        t = gen_term(sig, rng, GenConfig.max_term_depth)
+        if has_children in (None, bool(t.children)):
+            return t
+    raise RuntimeError(f"signature generates no {law.term_condition} terms")
 
 
 def _strategy_universe(rules: list[Rule]) -> list[tuple[int, Strategy]]:

@@ -93,10 +93,8 @@ def _reach_analyse(s: Strategy, sig: Signature, env: dict[str, ReachMap]):
         return (yield from fix_eq(lambda m: (s.body, sig, {**env, s.name: m}), bottom))
     if isinstance(s, (All, One)):
         return reach_transform(sig, (yield s.body, sig, env))
-    if isinstance(s, (RuleRef, Adhoc)):
-        # a bare rule is adhoc(fail, r)
-        default = (yield s.default, sig, env) if isinstance(s, Adhoc) else reach_bottom(sig)
-        return reach_lub(default, _rule_map(sig, s.rule))
+    if isinstance(s, (RuleRef, Adhoc)):  # a bare rule's default: see RuleRef
+        return reach_lub((yield s.default, sig, env), _rule_map(sig, s.rule))
     raise EngineError(f"cannot analyse {s!r}")
 
 

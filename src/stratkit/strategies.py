@@ -162,6 +162,10 @@ class Fail:
     pass
 
 
+ID = Id()
+FAIL = Fail()
+
+
 @record
 class Seq:
     left: "Strategy"
@@ -197,7 +201,11 @@ class Rec:
 
 @record
 class RuleRef:
+    """A bare rule, which is `adhoc(fail, rule)`: every analysis reads
+    its `default` as it reads an Adhoc's, and the machine runs it so."""
+
     rule: Rule
+    default = FAIL  # not a field
 
 
 @record
@@ -209,9 +217,6 @@ class Adhoc:
 
 
 Strategy = Id | Fail | Seq | Choice | All | One | Var | Rec | RuleRef | Adhoc
-
-ID = Id()
-FAIL = Fail()
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,16 @@ LESS = Rel.LESS
 ANY = Rel.ANY
 
 
+#: the chain Less < Leq < Any
+_RANK = {LESS: 0, LEQ: 1, ANY: 2}
+
+
 def rel_leq(x: Rel, y: Rel) -> bool:
-    if y is ANY:
-        return True
-    if x is LESS and y is LEQ:
-        return True
-    return x is y
+    return _RANK[x] <= _RANK[y]
 
 
 def rel_lub(x: Rel, y: Rel) -> Rel:
-    if (x is LESS and y is LEQ) or (x is LEQ and y is LESS):
-        return LEQ
-    return x if x is y else ANY
+    return x if _RANK[x] >= _RANK[y] else y
 
 
 def rel_plus(x: Rel, y: Rel) -> Rel:
@@ -327,9 +325,8 @@ def _term_analyse(s: Strategy, m: Measure, r: RelVec, env: TermEnv):
             # decrease cannot survive it; one() always fires on a child.
             prefix = tuple(rel_lub(a, b) for a, b in zip(r[:-1], prefix))
         return prefix + (rel_increase(got[-1]),)
-    if isinstance(s, (RuleRef, Adhoc)):
-        # a bare rule is adhoc(fail, r)
-        a = (yield s.default, m, r, env) if isinstance(s, Adhoc) else (LESS,) * n
+    if isinstance(s, (RuleRef, Adhoc)):  # a bare rule's default: see RuleRef
+        a = yield s.default, m, r, env
         if a is None:
             return None
         return vec_lub(a, vec_plus(r, rule_effect(s.rule, m)))

@@ -46,6 +46,11 @@ class Term:
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        from .files import term_to_sexpr
+
+        return term_to_sexpr(self)
+
 
 class Node(Term):
     """A constructor applied to zero or more child terms."""
@@ -78,11 +83,6 @@ class Node(Term):
             self.depth = 1 + best
             self._hash = hash(tuple(hs))
 
-    def __repr__(self):
-        from .files import term_to_sexpr
-
-        return term_to_sexpr(self)
-
 
 class Lit(Term):
     """A primitive payload tagged with its declared sort."""
@@ -93,11 +93,6 @@ class Lit(Term):
         self.value = value
         self.sort = sort
         self._hash = hash(("lit", type(value).__name__, value, sort))
-
-    def __repr__(self):
-        from .files import term_to_sexpr
-
-        return term_to_sexpr(self)
 
 
 def term_eq(a: Term, b: Term) -> bool:

@@ -20,6 +20,8 @@ from stratkit.strategies import (
     RuleRef,
     Seq,
     Var,
+    rule_choice,
+    rule_seq,
 )
 from stratkit.errors import TermError
 from stratkit.terms import Lit, Node, PLit, PVar, sort_of
@@ -168,6 +170,16 @@ bool_trees = st.recursive(
 
 #: a term of any sort from the built-in vocabulary
 terms = st.one_of(nats, bools, nat_trees, bool_trees)
+
+
+def nat_composites():
+    """rule_choice and rule_seq composites of the built-in Nat rules,
+    nested both ways. On (Zero) every member of the first fails, and
+    the second fails at its second stage on every odd number."""
+    r = {rule.name: rule for rule in builtin_rules()}
+    choice = rule_choice(r["dropSucc"], r["atOdd"])
+    seq = rule_seq(r["dropSucc"], r["atEven"])
+    return [choice, seq, rule_choice(seq, r["increment"]), rule_seq(choice, r["increment"])]
 
 
 def strategy_exprs(rules=None, max_leaves=6):

@@ -177,6 +177,8 @@ BAD_PROGRAMS = [
     ("main = id\nmain = id", ParseError, "main must be the last declaration"),
     ("main = id\ndef d() = id", ParseError, "main must be the last"),
     (RULES + "rule increment : Nat = n -> n\nmain = id", LoadError, "declared twice"),
+    ("def d() = id\ndef d() = id\nmain = id", LoadError, "name 'd' declared twice"),
+    ("rule d : Nat = n -> n\ndef d() = id\nmain = id", LoadError, "name 'd' declared twice"),
     ("rule bad : Nat = n -> (Succ m)\nmain = id", LoadError, "unbound variables: m"),
     ("rule bad : Mystery = n -> n\nmain = id", LoadError, "unknown sort 'Mystery'"),
     (
@@ -207,6 +209,8 @@ BAD_PROGRAMS = [
     ("@effect(wrong)\nrule r : Nat = n -> n\nmain = id", ParseError, "measure relation"),
     ("def a() = b()\ndef b() = id\nmain = a", ParseError, "unknown name 'b'"),
     ("main = mystery", ParseError, "unknown name 'mystery'"),
+    # a name outside every rec and parameter is refused where it stands
+    ("rule r : Nat = n -> n\ndef d(s) = t\nmain = id", ParseError, "2:12: unknown name 't'"),
     (
         "def norm(s) = full_td1(s)\nmain = id",
         ParseError,
@@ -356,6 +360,16 @@ BAD_QUERIES = [
     (QRULES, LoadError, "query program has no main"),
     ("@infallible\nqrule g : Salary = s -> s\nmain = failq", ParseError, "no annotations"),
     ("qrule g : Salary = s -> s where even_nat\nmain = failq", ParseError, "no guard"),
+    (
+        'qrule r : Salary = "x":Salary -> 1.0:Salary\nmain = failq',
+        LoadError,
+        "rule 'r' lhs: 'x' is not a float (sort 'Salary')",
+    ),
+    (
+        "qrule g : Salary = s -> s\nmain = failq\nqrule h : Salary = s -> s",
+        ParseError,
+        "3:1: main must be the last declaration",
+    ),
 ]
 
 

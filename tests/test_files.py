@@ -52,6 +52,16 @@ def test_signature_error_positions_and_wording():
         parse_signature("sort A\nC : -> A\nC : A -> A")
     with pytest.raises(ParseError, match="undeclared sort"):
         parse_signature("sort A\nC : B -> A")
+    for text, message in [
+        ("prim Salary float", "1:1: bad prim declaration 'prim Salary float'"),
+        ("sort A\nlist A B", "2:1: bad list declaration 'list A B'"),
+        ("sort A\n: -> A", "2:1: bad constructor declaration ': -> A'"),
+        ("sort A\nC : A ->", "2:1: bad constructor declaration 'C : A ->'"),
+        ("sort A\nC : A * * A -> A", "2:1: bad argument list in 'C : A * * A -> A'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_signature(text)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

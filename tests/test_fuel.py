@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import step_oracle
-from genlib import nat, terms
+from genlib import nat, nat_composites, terms
 from stratkit.files import load_term
 from stratkit.interp import (
     OP_ADHOC,
@@ -58,6 +58,8 @@ from stratkit.terms import Node
 SIG = builtin_signature()
 RULES = builtin_rules()
 RULE = {r.name: r for r in RULES}
+#: what a generated strategy applies: the rules and composites of them
+POOL = RULES + nat_composites()
 NAMES = ("x", "y", "z")
 #: the most steps a generated run is followed for
 CAP = 300
@@ -123,7 +125,7 @@ def closed_strategies(max_leaves=8):
     """Strategies with rec, every derived scheme and nestings of them,
     closed by a rec around each free variable."""
     leaves = st.one_of(
-        st.sampled_from([ID, FAIL] + [RuleRef(r) for r in RULES]),
+        st.sampled_from([ID, FAIL] + [RuleRef(r) for r in POOL]),
         st.sampled_from(NAMES).map(Var),
     )
 
@@ -133,7 +135,7 @@ def closed_strategies(max_leaves=8):
             st.tuples(sub, sub).map(lambda p: Choice(*p)),
             sub.map(All),
             sub.map(One),
-            st.tuples(sub, st.sampled_from(RULES)).map(lambda p: Adhoc(*p)),
+            st.tuples(sub, st.sampled_from(POOL)).map(lambda p: Adhoc(*p)),
             st.tuples(st.sampled_from(NAMES), sub).map(lambda p: Rec(*p)),
             st.tuples(SCHEME_NAMES, sub).map(lambda p: SCHEMES[p[0]](p[1])),
         )

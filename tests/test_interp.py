@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genlib import apply_rule, nat, strategy_exprs, terms
+from genlib import apply_rule, nat, nat_composites, strategy_exprs, terms
 from stratkit.errors import EngineError, SignatureError, TermError
 from stratkit.interp import (
     DEFAULT_FUEL,
@@ -193,7 +193,7 @@ def assert_same(outcome, want):
 # Machine vs reference
 
 
-@given(strategy_exprs(), terms)
+@given(strategy_exprs(builtin_rules() + nat_composites()), terms)
 def test_machine_agrees_with_reference(sig, s, t):
     got = evaluate(s, t, sig, fuel=100_000)
     # rec-free strategies always terminate, and well within this fuel

@@ -19,8 +19,6 @@ from stratkit.laws import (
     check_scheme_properties,
     check_soundness,
     find_nonlaw_counterexamples,
-    gen_constant_term,
-    gen_nonconstant_term,
     gen_strategy,
     gen_term,
 )
@@ -56,9 +54,13 @@ def test_a_signature_keeps_its_least_term_depths():
 
 
 def test_constant_and_nonconstant_generators(sig, rng):
+    constant, nonconstant = (
+        next(law for law in LAWS if law.term_condition == c)
+        for c in ("constant", "nonconstant")
+    )
     for _ in range(100):
-        assert not gen_constant_term(sig, rng).children
-        assert gen_nonconstant_term(sig, rng, 4).children
+        assert not laws._gen_case_term(constant, sig, rng).children
+        assert laws._gen_case_term(nonconstant, sig, rng).children
 
 
 def test_gen_strategy_size_one_is_a_leaf(rules, rng):

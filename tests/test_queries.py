@@ -369,6 +369,9 @@ def test_constants_are_checked_at_load_time():
         with pytest.raises(KindError) as exc:
             check_query_kinds(node(ConstQ(1.5), node(ConstQ(2.5), ConstQ(3.5))), MONOIDS["int-sum"])
         assert str(exc.value) == "constant 1.5 does not fit monoid 'int-sum'"
+    with pytest.raises(KindError) as exc:
+        check_query_kinds(ConstQ(3), MONOIDS["list"])
+    assert str(exc.value) == "constant 3 does not fit monoid 'list'"
 
 
 def test_extractions_are_checked_at_run_time(company_sig):
