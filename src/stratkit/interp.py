@@ -238,9 +238,11 @@ def evaluate(
 # fallback with the original term, 2 collects rebuilt children for all,
 # 3 walks children for one (and holds its fallback, if fused), and 4
 # holds a try's term, to return it for the unit of id when the body
-# fails. Traversal frames (2 and 3) are mutable lists advanced in place:
-# a deep descent keeps one live frame per level, and per-frame
-# reallocation was the dominant gc load on chain-shaped terms.
+# fails. A try never fails, so a try that starts on a try frame replaces
+# it, and `repeat` and `innermost` loop in constant stack. Traversal
+# frames (2 and 3) are mutable lists advanced in place: a deep descent
+# keeps one live frame per level, and per-frame reallocation was the
+# dominant gc load on chain-shaped terms.
 
 
 def _execute(code, term, fuel, constr_sort, trace):
@@ -308,6 +310,8 @@ def _execute(code, term, fuel, constr_sort, trace):
                 append((0, code[3]))
                 code = code[2]
             elif op == 8:  # TRY
+                if stack and stack[-1][0] == 4:  # in tail position of a try
+                    pop()
                 append((4, t))
                 code = code[2]
             elif op == 3:  # CHOICE

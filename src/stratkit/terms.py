@@ -6,9 +6,9 @@ here is iterative where it walks a term: the engine guarantees terms of
 depth 100k+ work, and CPython's recursion limit would kill a recursive
 equality or tally long before that.
 
-Nodes precompute their hash and depth at construction. Construction is
-bottom-up (children exist before the parent), so both are O(1) per node
-and never recurse.
+Nodes precompute only their depth at construction. Construction is
+bottom-up (children exist before the parent), so that is O(1) per node
+and never recurses. `hash` walks the whole term on each call.
 """
 
 from __future__ import annotations
@@ -25,78 +25,9 @@ Sort = str
 PRIM_KINDS = {"int": int, "float": float, "string": str}
 
 
-class Term:
-    """Base class; instances are Node or Lit. Treated as immutable."""
-
-    __slots__ = ()
-
-    # Uniform child access; Node overrides with an instance slot.
-    children: tuple = ()
-    depth: int = 1
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return term_eq(self, other)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        from .files import term_to_sexpr
-
-        return term_to_sexpr(self)
-
-
-class Node(Term):
-    """A constructor applied to zero or more child terms."""
-
-    __slots__ = ("constr", "children", "depth", "_hash")
-
-    def __init__(self, constr: str, children=()):
-        # Rule appliers construct millions of nodes per run, mostly of
-        # arity one, so this is written as a single pass with a fast
-        # path rather than genexprs.
-        if type(children) is not tuple:
-            children = tuple(children)
-        self.constr = constr
-        self.children = children
-        n = len(children)
-        if n == 1:
-            c = children[0]
-            self.depth = 1 + c.depth
-            self._hash = hash((constr, c._hash))
-        elif n == 0:
-            self.depth = 1
-            self._hash = hash((constr,))
-        else:
-            best = 0
-            hs = [constr]
-            for c in children:
-                if c.depth > best:
-                    best = c.depth
-                hs.append(c._hash)
-            self.depth = 1 + best
-            self._hash = hash(tuple(hs))
-
-
-class Lit(Term):
-    """A primitive payload tagged with its declared sort."""
-
-    __slots__ = ("value", "sort", "_hash")
-
-    def __init__(self, value: int | float | str, sort: Sort):
-        self.value = value
-        self.sort = sort
-        self._hash = hash(("lit", type(value).__name__, value, sort))
-
-
 def term_eq(a: Term, b: Term) -> bool:
-    """Structural equality, iterative. Literal kinds are strict: 1 != 1.0."""
+    """Structural equality, iterative. Literal kinds are strict: 1 != 1.0,
+    and a term is equal to no non-term."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -110,13 +41,79 @@ def term_eq(a: Term, b: Term) -> bool:
                 or x.value != y.value
             ):
                 return False
-        elif isinstance(y, Lit):
+        elif not isinstance(y, Node):
             return False
         else:
             if x.constr != y.constr or len(x.children) != len(y.children):
                 return False
             stack.extend(zip(x.children, y.children))
     return True
+
+
+class Term:
+    """Base class; instances are Node or Lit. Treated as immutable."""
+
+    __slots__ = ()
+
+    # Uniform child access; Node overrides with an instance slot.
+    children: tuple = ()
+    depth: int = 1
+
+    __eq__ = term_eq
+
+    def __hash__(self):
+        """Structural, walked on each call, as a cache would cost every
+        node a slot. Reversed, order is a post-order, left to right."""
+        order = []
+        stack = [self]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            stack.extend(x.children)
+        hs = []
+        for x in reversed(order):
+            if type(x) is Lit:
+                hs.append(hash(("lit", type(x.value).__name__, x.value, x.sort)))
+            else:  # the hashes of x's children end hs
+                n = len(hs) - len(x.children)
+                hs[n:] = [hash((x.constr, *hs[n:]))]
+        return hs[0]
+
+    def __repr__(self):
+        from .files import term_to_sexpr
+
+        return term_to_sexpr(self)
+
+
+class Node(Term):
+    """A constructor applied to zero or more child terms."""
+
+    __slots__ = ("constr", "children", "depth")
+
+    def __init__(self, constr: str, children=()):
+        # Rule appliers build millions of nodes per run, mostly unary:
+        # hence the fast paths, and no genexpr.
+        if type(children) is not tuple:
+            children = tuple(children)
+        self.constr = constr
+        self.children = children
+        n = len(children)
+        if n == 1:
+            self.depth = 1 + children[0].depth
+        elif n == 0:
+            self.depth = 1
+        else:
+            self.depth = 1 + max([c.depth for c in children])
+
+
+class Lit(Term):
+    """A primitive payload tagged with its declared sort."""
+
+    __slots__ = ("value", "sort")
+
+    def __init__(self, value: int | float | str, sort: Sort):
+        self.value = value
+        self.sort = sort
 
 
 def depth(t: Term) -> int:
@@ -201,8 +198,7 @@ def match(p: Pattern, t: Term) -> dict[str, Term] | None:
             seen = binding.get(pp.name)
             if seen is None:
                 binding[pp.name] = tt
-            # hashes are structural: unequal ones settle it in O(1)
-            elif seen._hash != tt._hash or not term_eq(seen, tt):
+            elif not term_eq(seen, tt):
                 return None
         elif isinstance(pp, PLit):
             if (

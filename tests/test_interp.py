@@ -8,6 +8,8 @@ shipped engine (deep terms would blow the Python stack), which is
 exactly what makes it an independent oracle.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -338,6 +340,20 @@ def test_fuel_exhaustion_reports_the_budget(sig, rules):
     out = evaluate(s, TREE1, sig, fuel=77)
     assert isinstance(out, FuelExhausted)
     assert out.steps == 77
+
+
+def test_repeat_runs_in_constant_stack(sig, rules):
+    # innermost is repeat(once_bu(s)); each round's try starts on the
+    # frame of the last round's, which would otherwise hold its term
+    s = innermost(Adhoc(FAIL, rules["increment"]))
+    tracemalloc.start()
+    try:
+        out = evaluate(s, nat(0), sig, fuel=300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == FuelExhausted(300_000)
+    assert peak < 2_000_000
 
 
 def test_outcome_types_are_distinct():

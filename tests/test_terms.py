@@ -6,6 +6,9 @@ obviously-correct spelling but die on deep terms, which is exactly why
 the library versions are iterative.
 """
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -120,6 +123,37 @@ def test_deep_chain_operations_do_not_recurse():
     assert a == b
     assert hash(a) == hash(b)
     assert a != nat(n - 1)
+
+
+def test_nonlinear_match_on_deep_chains_does_not_recurse():
+    n = 100_000
+    assert sys.getrecursionlimit() < n
+    pair = PNode("Pair", (PVar("x"), PVar("x")))
+    a, b = nat(n), nat(n)
+    assert a is not b
+    assert match(pair, Node("Pair", (a, b))) == {"x": a}
+    c = Node("One")
+    for _ in range(n):
+        c = Node("Succ", (c,))
+    assert match(pair, Node("Pair", (a, c))) is None
+
+
+def _bytes_kept(build):
+    """Bytes that build's result holds, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()  # noqa: F841 -- alive while measured
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_terms_carry_no_per_node_hash():
+    n = 100_000
+    assert _bytes_kept(lambda: nat(n)) / n < 160
+    # each float Lit with its payload and its slot in the list
+    assert _bytes_kept(lambda: [Lit(i + 0.5, "Salary") for i in range(n)]) / n < 100
 
 
 # ---------------------------------------------------------------------------
