@@ -233,16 +233,18 @@ def evaluate(
     return CompiledStrategy(strategy, sig).run(term, fuel, trace)
 
 
-# Continuation frames. The machine keeps one list of frames, tagged in
-# slot 0: 0 waits for a sequence's left result, 1 holds a choice's
+# Continuation frames. The machine keeps one list of frames, most tagged
+# in slot 0: 0 waits for a sequence's left result, 1 holds a choice's
 # fallback with the original term, 2 collects rebuilt children for all,
 # 3 walks children for one (and holds its fallback, if fused), and 4
 # holds a try's term, to return it for the unit of id when the body
 # fails. A try never fails, so a try that starts on a try frame replaces
-# it, and `repeat` and `innermost` loop in constant stack. Traversal
-# frames (2 and 3) are mutable lists advanced in place: a deep descent
-# keeps one live frame per level, and per-frame reallocation was the
-# dominant gc load on chain-shaped terms.
+# it, and `repeat` and `innermost` loop in constant stack. Frames 2 and 3
+# are lists advanced in place. Over a node's only child, all and a plain
+# one both pass a failure on and otherwise rebuild, so the node itself is
+# their frame: a deep descent allocates no frame per level. A fused
+# `one(x) <+ s` keeps its list frame for the fallback: a choice frame and
+# a node frame per level instead made `innermost` up to 10% slower.
 
 
 def _execute(code, term, fuel, constr_sort, trace):
@@ -287,8 +289,12 @@ def _execute(code, term, fuel, constr_sort, trace):
                 ch = t.children
                 if ch:
                     body = code[2]
-                    # frame layout: [tag, body, node, idx, fallback]
-                    append([3, body, t, 0, code[3]])
+                    fallback = code[3]
+                    if fallback is None and len(ch) == 1:
+                        append(t)  # a node frame
+                    else:
+                        # frame layout: [tag, body, node, idx, fallback]
+                        append([3, body, t, 0, fallback])
                     code = body
                     t = ch[0]
                 elif code[3] is None:
@@ -301,16 +307,19 @@ def _execute(code, term, fuel, constr_sort, trace):
                 if not ch:
                     val = t
                     break
-                body = code[2]
-                # frame layout: [tag, body, node, idx, *rebuilt children]
-                append([2, body, t, 0])
-                code = body
+                if len(ch) == 1:
+                    append(t)  # a node frame
+                else:
+                    # frame layout: [tag, body, node, idx, *rebuilt children]
+                    append([2, code[2], t, 0])
+                code = code[2]
                 t = ch[0]
             elif op == 2:  # SEQ
                 append((0, code[3]))
                 code = code[2]
             elif op == 8:  # TRY
-                if stack and stack[-1][0] == 4:  # in tail position of a try
+                # in tail position of a try
+                if stack and type(stack[-1]) is not node_t and stack[-1][0] == 4:
                     pop()
                 append((4, t))
                 code = code[2]
@@ -331,6 +340,12 @@ def _execute(code, term, fuel, constr_sort, trace):
             if not stack:
                 return val
             frame = pop()
+            if type(frame) is node_t:  # all or one over its only child
+                if val is frame.children[0]:
+                    val = frame
+                elif val is not failed:
+                    val = node_t(frame.constr, (val,))
+                continue
             k = frame[0]
             if k == 3:  # searching children of one
                 node = frame[2]

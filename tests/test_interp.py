@@ -342,18 +342,71 @@ def test_fuel_exhaustion_reports_the_budget(sig, rules):
     assert out.steps == 77
 
 
+def _traced_peak(s, t, sig, fuel):
+    """The outcome of a run, and the peak bytes that it allocated."""
+    tracemalloc.start()
+    try:
+        out = evaluate(s, t, sig, fuel=fuel)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_repeat_runs_in_constant_stack(sig, rules):
     # innermost is repeat(once_bu(s)); each round's try starts on the
     # frame of the last round's, which would otherwise hold its term
     s = innermost(Adhoc(FAIL, rules["increment"]))
-    tracemalloc.start()
-    try:
-        out = evaluate(s, nat(0), sig, fuel=300_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = _traced_peak(s, nat(0), sig, 300_000)
     assert out == FuelExhausted(300_000)
     assert peak < 2_000_000
+
+
+# A descent through a one-child node keeps the node as its frame: the
+# stack's own slot, 8 bytes a level, is all that a level of a chain holds.
+CHAIN_LEVELS = 200_000
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return nat(CHAIN_LEVELS)
+
+
+def test_full_td_over_a_chain_keeps_no_frame_per_level(sig, chain):
+    out, peak = _traced_peak(full_td(ID), chain, sig, 10**7)
+    assert out.term is chain
+    assert peak / CHAIN_LEVELS < 24
+
+
+def test_once_td_over_a_chain_keeps_no_frame_per_level(sig, rules, chain):
+    s = once_td(Adhoc(FAIL, rules["flipTrue"]))
+    out, peak = _traced_peak(s, chain, sig, 10**7)
+    assert out == Failure()
+    assert peak / CHAIN_LEVELS < 24
+
+
+def test_growing_full_td_holds_little_beyond_its_terms(sig, rules):
+    # each level costs 4 units of fuel and holds the Succ that increment
+    # built there (about 104 bytes), as the frame for the way up
+    s = full_td(Adhoc(ID, rules["increment"]))
+    out, peak = _traced_peak(s, TREE1, sig, 400_000)
+    assert out == FuelExhausted(400_000)
+    assert peak / 100_000 < 150
+
+
+@pytest.mark.parametrize("t", [nat(1), TREE1], ids=["one child", "two children"])
+@pytest.mark.parametrize("combinator", [All, One])
+def test_identity_child_step_returns_its_input(sig, combinator, t):
+    assert evaluate(combinator(ID), t, sig).term is t
+
+
+def test_full_bu_id_over_a_deep_chain_returns_its_input(sig, chain):
+    assert evaluate(full_bu(ID), chain, sig, fuel=10**7).term is chain
+
+
+def test_all_keeps_the_children_that_it_leaves_alone(sig, rules):
+    out = evaluate(All(Adhoc(ID, rules["increment"])), TREE1, sig).term
+    assert out.children[0] == nat(1)
+    assert out.children[1] is TREE1.children[1]
 
 
 def test_outcome_types_are_distinct():
