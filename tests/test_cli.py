@@ -802,6 +802,56 @@ def test_lint_clean_program(fixtures_dir):
     assert result.stdout == "clean\n"
 
 
+#: program -> ((exit code, stdout) of `analyze fallibility --strict`,
+#: (exit code, stdout) of `lint`), over the signature it is written for
+DEAD_CODE_TABLE = {
+    "bare_choice": ((0, "main: sf=Any type=False\n"), (0, "clean\n")),
+    "bare_increment": ((0, "main: sf=ExistsFailure type=False\n"), (0, "clean\n")),
+    "diverge": (
+        (0, "main: sf=None type=True\n"),
+        (1, "main: termination NOT PROVEN under depth\n"),
+    ),
+    "dominated": ((0, "main: sf=None type=True\n"), (0, "clean\n")),
+    "full_bu_fail_increment": ((0, "main: sf=None type=False\n"), (0, "clean\n")),
+    "full_bu_id_increment": ((0, "main: sf=None type=True\n"), (0, "clean\n")),
+    "inc_salary": ((0, "main: sf=ForallSuccess type=True\n"), (0, "clean\n")),
+    "lint_bait": (
+        (
+            1,
+            "def both: sf=Any type=False\n"
+            "main: sf=None type=untypable\n"
+            "main: dead choice at left/body: left operand all($1) cannot fail\n"
+            "main: dead choice at right: left operand id cannot fail\n",
+        ),
+        (
+            1,
+            "lint: def 'both': parameter 's' is used 2 times; expansion duplicates"
+            " its argument\n"
+            "lint: stop_bu descends before it ever tries its argument, and a"
+            " successful descent preempts it: the result is a deep identity"
+            " traversal that never applies the argument\n"
+            "main: dead choice at left/body: left operand all($1) cannot fail\n"
+            "main: dead choice at right: left operand id cannot fail\n",
+        ),
+    ),
+    "mchoice": ((0, "main: sf=None type=True\n"), (0, "clean\n")),
+    "stop_increment": ((0, "main: sf=None type=True\n"), (0, "clean\n")),
+}
+
+
+def test_strict_fallibility_and_lint_on_every_fixture_program(fixtures_dir):
+    programs = sorted(p.stem for p in (fixtures_dir / "programs").glob("*.strat"))
+    assert programs == sorted(DEAD_CODE_TABLE)
+    for name in programs:
+        sig = "company.sig" if name == "inc_salary" else "nat_tree.sig"
+        program = f"programs/{name}.strat"
+        got = (
+            invoke(fixtures_dir, ["analyze", "fallibility", sig, program, "--strict"]),
+            invoke(fixtures_dir, ["lint", sig, program]),
+        )
+        assert [r[:2] for r in got] == list(DEAD_CODE_TABLE[name]), name
+
+
 def test_laws_command_reports_every_check():
     result = call_main(["laws", "--cases", "25", "--seed", "7"])
     assert result.exit_code == 0, result.stdout
