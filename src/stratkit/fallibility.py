@@ -11,7 +11,9 @@ Two views of the same question, "can this strategy fail":
 A typing walk runs in one mode. The dead-choice scan is the lenient
 walk's by-product, so the strict verdict and the scan are two walks: the
 verdict is not read off the scan (`rec x. (x <+ fail)` types True
-leniently, False strictly, and has one dead choice).
+leniently, False strictly, and has one dead choice). Both walks take a
+strategy closed under its context and raise EngineError at its first
+free variable outside it, in print order.
 
 Rules enter through sort dispatch, a bare rule through the `default`
 that `strategies.RuleRef` gives it. An annotated-infallible rule with a
@@ -165,10 +167,7 @@ def sf_type_of(
     In strict mode a choice with a True-typed left operand is untypable:
     its right operand is dead code.
     """
-    typed = walk(_sf_type_of, s, ctx or {}, strict, None, [])
-    if isinstance(typed, EngineError):
-        raise typed
-    return typed
+    return walk(_sf_type_of, s, ctx or {}, strict, None, [])
 
 
 def scan_dead_choices(
@@ -182,30 +181,26 @@ def scan_dead_choices(
     slots: list = []
     walk(_sf_type_of, s, ctx or {}, False, None, slots)
     found: list[tuple[str, str]] = []
-    for slot in slots:
-        if isinstance(slot, EngineError):
-            raise slot
-        if slot is not None:
-            path, left = slot
-            fields = []
-            while path is not None:
-                field, path = path
-                fields.append(field)
-            found.append(("/".join(reversed(fields)) or "root", print_strategy(left)))
+    for path, left in filter(None, slots):
+        fields = []
+        while path is not None:
+            field, path = path
+            fields.append(field)
+        found.append(("/".join(reversed(fields)) or "root", print_strategy(left)))
     return found
 
 
 def _sf_type_of(
     s: Strategy, ctx: dict[str, bool], strict: bool, path: tuple | None, slots: list
 ):
-    """The type of s, or the EngineError typing it raises, as a value:
-    every child is typed, so one walk also scans for dead choices.
+    """The type of s, which is closed under ctx; every child is typed,
+    so one walk also scans for dead choices.
 
-    Each choice and rec takes a slot where a pre-order scan would type
-    it: (path, left operand) if the left operand types True, the error
-    typing raised, or None. path links (field, parent's path) back to
-    the root, None. A rec keeps the slots of its body under the
-    assumption it settles on, fallible if none holds.
+    Each choice takes a slot where a pre-order scan would type it:
+    (path, left operand) if the left operand types True, else None.
+    path links (field, parent's path) back to the root, None. A rec
+    keeps the slots of its body under the assumption it settles on,
+    fallible if none holds.
     """
     if isinstance(s, Choice):
         at = len(slots)
@@ -213,40 +208,26 @@ def _sf_type_of(
         a = yield s.left, ctx, strict, ("left", path), slots
         if a is True:
             slots[at] = (path, s.left)
-        elif isinstance(a, EngineError):
-            slots[at] = a
         b = yield s.right, ctx, strict, ("right", path), slots
-        if a is None or isinstance(a, EngineError):
-            return a
-        if strict and a is True:
+        if a is None or b is None or (strict and a):
             return None
-        if b is None or isinstance(b, EngineError):
-            return b
         return a or b
     if isinstance(s, Seq):
         a = yield s.left, ctx, strict, ("left", path), slots
         b = yield s.right, ctx, strict, ("right", path), slots
-        for x in (a, b):
-            if isinstance(x, EngineError):
-                return x
         return None if a is None or b is None else a and b
     if isinstance(s, Rec):
         at = len(slots)
-        slots.append(None)
         for assumption in (True, False):
-            del slots[at + 1 :]
+            del slots[at:]
             got = yield s.body, {**ctx, s.name: assumption}, strict, ("body", path), slots
-            if got is assumption or isinstance(got, EngineError):
-                break
-        else:
-            got = None
-        if isinstance(got, EngineError):
-            slots[at] = got
-        return got
+            if got is assumption:
+                return got
+        return None
     if isinstance(s, (All, One, Adhoc, RuleRef)):
         field = "body" if isinstance(s, (All, One)) else "default"
         a = yield getattr(s, field), ctx, strict, (field, path), slots
-        if a is None or isinstance(a, EngineError) or isinstance(s, All):
+        if a is None or isinstance(s, All):
             return a
         return False if isinstance(s, One) else a and rule_infallible(s.rule)
     if isinstance(s, Id):
@@ -254,8 +235,5 @@ def _sf_type_of(
     if isinstance(s, Fail):
         return False
     if isinstance(s, Var):
-        try:
-            return lookup(ctx, s.name)
-        except EngineError as exc:
-            return exc
-    return EngineError(f"cannot type {s!r}")
+        return lookup(ctx, s.name)
+    raise EngineError(f"cannot type {s!r}")

@@ -2,6 +2,7 @@
 and agreement between the abstract values and actual engine behaviour."""
 
 import itertools
+import sys
 import time
 
 import pytest
@@ -227,6 +228,13 @@ def test_unbound_variables_are_engine_errors():
         sf_analyse(Var("ghost"))
     with pytest.raises(EngineError, match="unbound"):
         sf_type_of(Var("ghost"))
+    # wherever the variable sits, typing and the scan raise at it
+    with pytest.raises(EngineError, match="unbound strategy variable 'x'"):
+        scan_dead_choices(Seq(Var("x"), ID))
+    with pytest.raises(EngineError, match="unbound strategy variable 'x'"):
+        sf_type_of(Choice(Choice(ID, ID), Var("x")), strict=True)
+    with pytest.raises(EngineError, match="unbound strategy variable 'x'"):
+        sf_type_of(Seq(Choice(ID, ID), Var("x")), strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +295,15 @@ def test_a_long_choice_chain_is_scanned_in_linear_time(rules):
     # typing each left operand afresh took over a minute here
     assert time.perf_counter() - start < 10
     assert found == [("root", " <+ ".join(["adhoc(fail,increment)"] * 4_998 + ["id"]))]
+
+
+def test_a_finding_beyond_the_recursion_limit_keeps_its_full_path():
+    depth = 3 * sys.getrecursionlimit()
+    s = Choice(ID, FAIL)
+    for _ in range(depth):
+        s = All(s)
+    assert scan_dead_choices(s) == [("/".join(["body"] * depth), "id")]
+    assert sf_type_of(s, strict=True) is None
 
 
 def test_scan_is_empty_for_honest_choices(rules):

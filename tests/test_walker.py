@@ -9,9 +9,15 @@ raise the same exception with the same message. The compiler is compared
 through the outcomes of running the code it builds, against the
 step-counting reference semantics in step_oracle.py.
 
-One difference is intended: the linearity lint used to skip the whole
-body of a rec that rebinds a parameter's name. The comparison leaves
-those definitions out; test_dsl.py holds the mended lint to its text.
+Two differences are intended. First, the linearity lint used to skip
+the whole body of a rec that rebinds a parameter's name. The comparison
+leaves those definitions out; test_dsl.py holds the mended lint to its
+text. Second, the fallibility typing and the dead-choice scan take a
+strategy closed under their context. On an open one they raise at its
+first unbound variable in print order, where the oracle raised at the
+first one it typed, or returned without typing it. Those walks are
+compared with the oracle on closed strategies only, and held to that
+error on open ones.
 """
 
 import sys
@@ -24,6 +30,7 @@ import step_oracle
 import walker_oracle as oracle
 from genlib import nat, terms
 from stratkit.dsl import Def, _param_linearity_lints
+from stratkit.errors import EngineError
 from stratkit.fallibility import Sf, scan_dead_choices, sf_analyse, sf_type_of
 from stratkit.interp import CompiledStrategy, FuelExhausted, Success
 from stratkit.laws import builtin_rules, builtin_signature
@@ -148,11 +155,25 @@ def test_linearity_lints_match_the_oracle_outside_rebinding_recs(body, params):
 def test_fallibility_matches_the_oracle(s, env, ctx):
     assume(rec_nesting(s) <= 4)
     assert_same(sf_analyse, oracle.sf_analyse, s, env)
-    for strict in (False, True):
-        assert_same(sf_type_of, oracle.sf_type_of, s, ctx, strict=strict)
-    # under a prefix, every finding's path has unequal fields
-    for scanned in (s, All(Seq(ID, s))):
-        assert_same(scan_dead_choices, oracle.scan_dead_choices, scanned, ctx)
+    if free_vars(s) <= ctx.keys():
+        for strict in (False, True):
+            assert_same(sf_type_of, oracle.sf_type_of, s, ctx, strict=strict)
+        # under a prefix, every finding's path has unequal fields
+        for scanned in (s, All(Seq(ID, s))):
+            assert_same(scan_dead_choices, oracle.scan_dead_choices, scanned, ctx)
+    else:
+        assert_typing_raises_at_the_first_unbound_variable(s, ctx)
+        assert_typing_raises_at_the_first_unbound_variable(All(Seq(ID, s)), ctx)
+
+
+def assert_typing_raises_at_the_first_unbound_variable(s, ctx):
+    # free_occurrences keeps each variable's first occurrence in walk
+    # order, which is print order
+    name = next(v for v in free_occurrences(s) if v not in ctx)
+    raised = (EngineError, f"unbound strategy variable {name!r}")
+    assert outcome(sf_type_of, s, ctx) == raised
+    assert outcome(sf_type_of, s, ctx, strict=True) == raised
+    assert outcome(scan_dead_choices, s, ctx) == raised
 
 
 def with_dead_choices(max_leaves=8):
@@ -182,9 +203,12 @@ def typed_separately(type_of, scan, s, ctx):
 )
 def test_the_strict_verdict_and_findings_match_the_oracle(s, ctx):
     assume(rec_nesting(s) <= 4)
-    assert outcome(typed_separately, sf_type_of, scan_dead_choices, s, ctx) == outcome(
-        typed_separately, oracle.sf_type_of, oracle.scan_dead_choices, s, ctx
-    )
+    if free_vars(s) <= ctx.keys():
+        assert outcome(typed_separately, sf_type_of, scan_dead_choices, s, ctx) == outcome(
+            typed_separately, oracle.sf_type_of, oracle.scan_dead_choices, s, ctx
+        )
+    else:
+        assert_typing_raises_at_the_first_unbound_variable(s, ctx)
 
 
 @settings(deadline=None)
