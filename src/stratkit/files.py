@@ -13,7 +13,7 @@ import re
 from functools import partial
 
 from .errors import ParseError, SignatureError
-from .terms import PRIM_KINDS, Lit, Node, Signature, Symbol, Term
+from .terms import PRIM_KINDS, Lit, Signature, Symbol, Term, _node
 
 # ---------------------------------------------------------------------------
 # Signature files
@@ -188,7 +188,7 @@ def parse_term(text: str, origin: str | None = None) -> Term:
             if not stack:
                 fail("unmatched ')'", k)
             constr, children, at = stack.pop()
-            value = Node(constr, tuple(children))
+            value = _node(constr, tuple(children))
             kids = stack[-1][1] if stack else top
         elif c == '"':
             m = _STRING.fullmatch(tok)
@@ -219,7 +219,7 @@ def parse_term(text: str, origin: str | None = None) -> Term:
             value = Lit(num, sort)
             at = k
         else:
-            value = Node(tok)
+            value = _node(tok, ())
             at = k
         kids.append(value)
         if kids is top and len(top) > 1:

@@ -64,7 +64,7 @@ from .strategies import (
     rule_names,
     walk,
 )
-from .terms import Lit, Node, Signature, Term, compile_rewrite
+from .terms import Lit, Node, Signature, Term, _node, compile_rewrite
 
 DEFAULT_FUEL = 1_000_000
 
@@ -245,6 +245,10 @@ def evaluate(
 # their frame: a deep descent allocates no frame per level. A fused
 # `one(x) <+ s` keeps its list frame for the fallback: a choice frame and
 # a node frame per level instead made `innermost` up to 10% slower.
+# Rebuilt nodes skip the class call to Node: an n-ary one is built by
+# terms._node, and a unary one, built once per level of a descent that
+# rewrites, by the same slot stores written inline (a call to _node
+# there gave about half of the gain).
 
 
 def _execute(code, term, fuel, constr_sort, trace):
@@ -255,6 +259,8 @@ def _execute(code, term, fuel, constr_sort, trace):
     val = _FAILED
     lit_t = Lit
     node_t = Node
+    new = object.__new__
+    node_of = _node
     failed = _FAILED
 
     while True:
@@ -344,7 +350,12 @@ def _execute(code, term, fuel, constr_sort, trace):
                 if val is frame.children[0]:
                     val = frame
                 elif val is not failed:
-                    val = node_t(frame.constr, (val,))
+                    # terms._node(frame.constr, (val,)), inline
+                    node = new(node_t)
+                    node.constr = frame.constr
+                    node.children = (val,)
+                    node.depth = 1 + val.depth
+                    val = node
                 continue
             k = frame[0]
             if k == 3:  # searching children of one
@@ -367,11 +378,17 @@ def _execute(code, term, fuel, constr_sort, trace):
                 if val is ch[idx]:
                     val = node
                 elif len(ch) == 1:
-                    val = node_t(node.constr, (val,))
+                    # terms._node(node.constr, (val,)), inline
+                    constr = node.constr
+                    node = new(node_t)
+                    node.constr = constr
+                    node.children = (val,)
+                    node.depth = 1 + val.depth
+                    val = node
                 else:
                     rebuilt = list(ch)
                     rebuilt[idx] = val
-                    val = node_t(node.constr, tuple(rebuilt))
+                    val = node_of(node.constr, tuple(rebuilt))
                 continue
             if k == 0:  # after left of a sequence
                 if val is failed:
@@ -402,7 +419,7 @@ def _execute(code, term, fuel, constr_sort, trace):
             if idx == len(ch):
                 for i, c in enumerate(ch):
                     if frame[4 + i] is not c:
-                        val = node_t(node.constr, tuple(frame[4:]))
+                        val = node_of(node.constr, tuple(frame[4:]))
                         break
                 else:
                     val = node

@@ -33,7 +33,7 @@ import warnings
 from collections.abc import Callable
 from itertools import islice
 
-from .interp import Failure, FuelExhausted, Success, evaluate
+from .interp import CompiledStrategy, Failure, FuelExhausted, Success, evaluate
 from .records import mutable_record, record
 from .strategies import (
     FAIL,
@@ -390,12 +390,22 @@ def _search(
     law: Law, sig: Signature, rules: list[Rule], cfg: GenConfig, fuel: int
 ) -> tuple[int, str]:
     """The fuel discards among the first cfg.cases cases of law's
-    stream, and the first case whose sides differ, rendered; "" if none."""
+    stream, and the first case whose sides differ, rendered; "" if none.
+
+    Consecutive cases share a strategy tuple for up to 5 terms, so each
+    side is compiled once per tuple, the right only once it is run."""
     discards = 0
-    for strategies, t in islice(_cases(law, sig, rules, cfg.seed), cfg.cases):
-        left = right = evaluate(law.lhs(*strategies), t, sig, fuel)
+    strategies = None
+    for case, t in islice(_cases(law, sig, rules, cfg.seed), cfg.cases):
+        if case is not strategies:
+            strategies = case
+            lhs = CompiledStrategy(law.lhs(*strategies), sig)
+            rhs = None
+        left = right = lhs.run(t, fuel)
         if not isinstance(left, FuelExhausted):
-            right = evaluate(law.rhs(*strategies), t, sig, fuel)
+            if rhs is None:
+                rhs = CompiledStrategy(law.rhs(*strategies), sig)
+            right = rhs.run(t, fuel)
         if isinstance(right, FuelExhausted):  # either side ran out of fuel
             discards += 1
         elif type(left) is not type(right) or (

@@ -9,6 +9,11 @@ equality or tally long before that.
 Nodes precompute only their depth at construction. Construction is
 bottom-up (children exist before the parent), so that is O(1) per node
 and never recurses. `hash` walks the whole term on each call.
+`Node(...)` is the public constructor and accepts any iterable of
+children. The paths that build a node per step (rewriting and the term
+reader) use `_node`, which takes a tuple and skips the class call; the
+interpreter's unary rebuilds and `compile_rewrite`'s `n -> C(n)` write
+its slot stores inline.
 """
 
 from __future__ import annotations
@@ -91,8 +96,8 @@ class Node(Term):
     __slots__ = ("constr", "children", "depth")
 
     def __init__(self, constr: str, children=()):
-        # Rule appliers build millions of nodes per run, mostly unary:
-        # hence the fast paths, and no genexpr.
+        # Any iterable of children. Rewriting builds its nodes with
+        # `_node` instead; this is for loaders and generators.
         if type(children) is not tuple:
             children = tuple(children)
         self.constr = constr
@@ -104,6 +109,24 @@ class Node(Term):
             self.depth = 1
         else:
             self.depth = 1 + max([c.depth for c in children])
+
+
+_new = object.__new__
+
+
+def _node(constr: str, children: tuple) -> Node:
+    """Node(constr, children) for a tuple of children, without the
+    class call and `__init__`, for the paths that build a node per
+    rewriting step. The interpreter's unary rebuilds and
+    `compile_rewrite`'s `n -> C(n)` applier write these stores inline."""
+    node = _new(Node)
+    node.constr = constr
+    node.children = children
+    if len(children) == 1:
+        node.depth = 1 + children[0].depth
+    else:
+        node.depth = 1 + max([c.depth for c in children]) if children else 1
+    return node
 
 
 class Lit(Term):
@@ -238,7 +261,18 @@ def compile_rewrite(
             return lambda t: t
         if guard is None and isinstance(rhs, PNode) and rhs.children == (lhs,):
             constr = rhs.constr
-            return lambda t: Node(constr, (t,))
+            new, node_t = _new, Node
+
+            def wrap(t):
+                # `_node(constr, (t,))` written inline: this applier runs
+                # once per step of a deep descent
+                node = new(node_t)
+                node.constr = constr
+                node.children = (t,)
+                node.depth = 1 + t.depth
+                return node
+
+            return wrap
         build = _builder(rhs, {name})
         if guard is None:
             return lambda t: build({name: t})
@@ -271,7 +305,7 @@ def _builder(p: Pattern, bound: set[str]):
     if not fns:
         node = Node(constr)
         return lambda b: node
-    return lambda b: Node(constr, tuple(f(b) for f in fns))
+    return lambda b: _node(constr, tuple([f(b) for f in fns]))
 
 
 # ---------------------------------------------------------------------------

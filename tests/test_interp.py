@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genlib import apply_rule, nat, nat_composites, strategy_exprs, terms
+from genlib import apply_rule, assert_depths, nat, nat_composites, strategy_exprs, terms
 from stratkit.errors import EngineError, SignatureError, TermError
 from stratkit.interp import (
     DEFAULT_FUEL,
@@ -189,6 +189,7 @@ def assert_same(outcome, want):
     else:
         assert isinstance(outcome, Success)
         assert outcome.term == want
+        assert_depths(outcome.term)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +408,33 @@ def test_all_keeps_the_children_that_it_leaves_alone(sig, rules):
     out = evaluate(All(Adhoc(ID, rules["increment"])), TREE1, sig).term
     assert out.children[0] == nat(1)
     assert out.children[1] is TREE1.children[1]
+
+
+@pytest.mark.parametrize(
+    "scheme, default, outcome",
+    [(full_td, ID, FuelExhausted), (innermost, FAIL, FuelExhausted), (full_bu, ID, Success)],
+    ids=["full_td", "innermost", "full_bu"],
+)
+def test_rewriting_runs_build_no_node_through_its_class(
+    sig, rules, monkeypatch, scheme, default, outcome
+):
+    # a rewriting run builds a node per step, so the machine and the
+    # rule appliers build them with terms._node or its inline copies,
+    # not with the generic Node(...) call, a large share of a step. A
+    # structural pin, as no time bound holds on every machine. full_bu
+    # rebuilds both a one-child and a two-child node here.
+    code = CompiledStrategy(scheme(Adhoc(default, rules["increment"])), sig)
+    t = Node("Node", (nat(2), Node("Nil_NatTree")))
+    calls = []
+    init = Node.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Node, "__init__", counted)
+    assert type(code.run(t, fuel=10_000)) is outcome
+    assert calls == []
 
 
 def test_outcome_types_are_distinct():

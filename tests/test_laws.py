@@ -319,7 +319,7 @@ def test_a_property_to_refute_is_searched_on_a_nonlaws_budget(sig, rules, monkey
     # every run is discarded: nothing refutes an equation, so the ones
     # that must hold pass on their 20 cases, and the ones that must be
     # refuted fail after the non-laws' 1000
-    monkeypatch.setattr(laws, "evaluate", lambda s, t, sig, fuel: FuelExhausted(fuel))
+    monkeypatch.setattr(laws.CompiledStrategy, "run", lambda self, t, fuel: FuelExhausted(fuel))
     results = check_scheme_properties(sig, list(rules.values()), GenConfig(cases=20))
     assert [(r.name, r.passed, r.cases, r.discards, r.detail) for r in results] == [
         (name, name not in WITNESSED, 20, 1000 if name in WITNESSED else 20, "")

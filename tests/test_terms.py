@@ -34,17 +34,21 @@ from stratkit.terms import (
     validate_term,
 )
 
-from genlib import apply_rule, instantiate, nat, nat_trees as trees, natlist, nats, ref_match
+from genlib import (
+    apply_rule,
+    assert_depths,
+    instantiate,
+    naive_depth,
+    nat,
+    nat_trees as trees,
+    natlist,
+    nats,
+    ref_match,
+)
 from stratkit.strategies import GUARDS, RuleDef
 
 # ---------------------------------------------------------------------------
 # Naive recursive oracles
-
-
-def naive_depth(t):
-    if not t.children:
-        return 1
-    return 1 + max(naive_depth(c) for c in t.children)
 
 
 def naive_count(constr, t):
@@ -263,6 +267,8 @@ def test_compile_rewrite_agrees_with_match_and_instantiate(data):
         got = rewrite(t)
         # repr tells a literal 1 from 1.0
         assert repr(got) == repr(want)
+        if got is not None:
+            assert_depths(got)
 
 
 _SMALL_SIG = Signature(
