@@ -28,7 +28,8 @@ machine dispatches less often than that. An instruction is a list
     that fails at once on another sort, so `r ; s` is fused the same way;
   - `one(x) <+ s`, the body of `once_bu`, is an `OP_ONE` with a
     fallback: one frame per level instead of a choice frame and a `one`
-    frame, and a unary node is rebuilt without copying its children.
+    frame, a three-slot tuple over a unary node, which is rebuilt
+    without copying its children.
 
 The charging rule keeps fuel step-exact. A fused instruction charges, at
 its head, the units that its constructs charge before the first
@@ -36,6 +37,14 @@ observable effect: a sort lookup, a rule application or a trace update.
 Units that they charge later are charged at that later point, such as
 the `id` of a `try` after its body failed. So every budget gives the
 same outcome, term, trace and error as a dispatch per construct would.
+
+A loop that comes back to the same state ends at once. When a try starts
+on the frame that this very try instruction pushed for this very term
+object, the machine is where it was a turn before, and it reports the
+fuel as spent (see "Continuation frames" for why that is exact). So
+`innermost(id)` is `DIVERGENT?` at once, with the steps figure and trace
+of a run to the last unit. A loop that grows or changes its term spends
+its fuel as before.
 """
 
 from __future__ import annotations
@@ -236,15 +245,25 @@ def evaluate(
 # Continuation frames. The machine keeps one list of frames, most tagged
 # in slot 0: 0 waits for a sequence's left result, 1 holds a choice's
 # fallback with the original term, 2 collects rebuilt children for all,
-# 3 walks children for one (and holds its fallback, if fused), and 4
-# holds a try's term, to return it for the unit of id when the body
-# fails. A try never fails, so a try that starts on a try frame replaces
-# it, and `repeat` and `innermost` loop in constant stack. Frames 2 and 3
-# are lists advanced in place. Over a node's only child, all and a plain
-# one both pass a failure on and otherwise rebuild, so the node itself is
-# their frame: a deep descent allocates no frame per level. A fused
-# `one(x) <+ s` keeps its list frame for the fallback: a choice frame and
-# a node frame per level instead made `innermost` up to 10% slower.
+# 3 walks the children of a node with several for one (and holds its
+# fallback, if fused), 4 holds a try's term and instruction, to return
+# the term for the unit of id when the body fails, and 5 holds a fused
+# `one(x) <+ s`'s fallback over a node's only child. Frames 2 and 3 are
+# lists advanced in place; every other frame is pushed once and popped
+# once. Over a node's only child, all and a plain one both pass a
+# failure on and otherwise rebuild, so the node itself is their frame:
+# a deep descent allocates no frame per level.
+#
+# A try never fails, so a try that starts on a try frame replaces it.
+# When that frame holds the current term (by identity) and this try
+# instruction, the run ends as out of fuel. That is exact: the frame on
+# top has not been popped since it was pushed, as it could not be pushed
+# again, so no frame below it has been touched either, and the machine
+# is back in the state just after that push. Appliers and guards are
+# pure, so the run would go round that segment forever, at one unit or
+# more a turn; and as the segment has run once in full, the trace holds
+# every rule that it fires.
+#
 # Rebuilt nodes skip the class call to Node: an n-ary one is built by
 # terms._node, and a unary one, built once per level of a descent that
 # rewrites, by the same slot stores written inline (a call to _node
@@ -296,8 +315,9 @@ def _execute(code, term, fuel, constr_sort, trace):
                 if ch:
                     body = code[2]
                     fallback = code[3]
-                    if fallback is None and len(ch) == 1:
-                        append(t)  # a node frame
+                    if len(ch) == 1:
+                        # a node frame, or for a fused fallback a tuple frame
+                        append(t if fallback is None else (5, fallback, t))
                     else:
                         # frame layout: [tag, body, node, idx, fallback]
                         append([3, body, t, 0, fallback])
@@ -324,10 +344,13 @@ def _execute(code, term, fuel, constr_sort, trace):
                 append((0, code[3]))
                 code = code[2]
             elif op == 8:  # TRY
-                # in tail position of a try
-                if stack and type(stack[-1]) is not node_t and stack[-1][0] == 4:
-                    pop()
-                append((4, t))
+                if stack:
+                    top = stack[-1]
+                    if type(top) is not node_t and top[0] == 4:  # in tail position of a try
+                        if top[1] is t and top[2] is code:  # back where top was pushed
+                            return None
+                        pop()
+                append((4, t, code))
                 code = code[2]
             elif op == 3:  # CHOICE
                 append((1, code[3], t))
@@ -358,6 +381,23 @@ def _execute(code, term, fuel, constr_sort, trace):
                     val = node
                 continue
             k = frame[0]
+            if k == 5:  # fused one over its only child, then its fallback
+                node = frame[2]
+                if val is failed:
+                    code = frame[1]
+                    t = node
+                    break
+                if val is node.children[0]:
+                    val = node
+                else:
+                    # terms._node(node.constr, (val,)), inline
+                    constr = node.constr
+                    node = new(node_t)
+                    node.constr = constr
+                    node.children = (val,)
+                    node.depth = 1 + val.depth
+                    val = node
+                continue
             if k == 3:  # searching children of one
                 node = frame[2]
                 idx = frame[3]
@@ -376,14 +416,6 @@ def _execute(code, term, fuel, constr_sort, trace):
                     t = node
                     break
                 if val is ch[idx]:
-                    val = node
-                elif len(ch) == 1:
-                    # terms._node(node.constr, (val,)), inline
-                    constr = node.constr
-                    node = new(node_t)
-                    node.constr = constr
-                    node.children = (val,)
-                    node.depth = 1 + val.depth
                     val = node
                 else:
                     rebuilt = list(ch)

@@ -138,6 +138,9 @@ def _lit_pred(p: Callable[[int | float], bool]) -> Callable[[Term], bool]:
     return check
 
 
+# A guard, built in or registered here, must depend only on the term it
+# gets: the interpreter ends a loop that is back at a state it was in as
+# out of fuel, which is exact only if the same term gets the same answer.
 GUARDS: dict[str, Callable[[Term], bool]] = {
     "even_nat": _even_nat,
     "odd_nat": _odd_nat,

@@ -259,6 +259,15 @@ def test_fuel_must_be_positive(fixtures_dir):
     assert result.exit_code == 2
 
 
+def test_a_loop_back_to_the_same_state_reports_the_whole_budget(fixtures_dir, tmp_path):
+    # the machine ends this loop at its third turn, but reports what the
+    # run to the last unit of fuel would
+    program = tmp_path / "loop.strat"
+    program.write_text("main = innermost(id)\n")
+    result = invoke(fixtures_dir, ["run", "nat_tree.sig", str(program), "terms/tree1.term"])
+    assert result == Result(4, "DIVERGENT? steps=1000000\n", "")
+
+
 def test_missing_file_is_a_usage_error(fixtures_dir):
     result = invoke(
         fixtures_dir,
