@@ -30,6 +30,11 @@ machine dispatches less often than that. An instruction is a list
     fallback: one frame per level instead of a choice frame and a `one`
     frame, a three-slot tuple over a unary node, which is rebuilt
     without copying its children.
+- Two of these call themselves: `once_bu`'s fused one, whose body is
+  itself, and `full_td`'s `all(x)`, whose body is an adhoc whose next
+  is this `all`. Down a spine of one-child nodes each runs in a loop of
+  its own, pushing the frames and charging the units that a dispatch
+  per level would, and leaves any other case to the loop head.
 
 The charging rule keeps fuel step-exact. A fused instruction charges, at
 its head, the units that its constructs charge before the first
@@ -252,7 +257,10 @@ def evaluate(
 # lists advanced in place; every other frame is pushed once and popped
 # once. Over a node's only child, all and a plain one both pass a
 # failure on and otherwise rebuild, so the node itself is their frame:
-# a deep descent allocates no frame per level.
+# a deep descent allocates no frame per level. full_td's spine loop
+# charges the adhoc before its sort lookup, as the loop head does; off
+# the rule's sort it hands the units back to the loop head, and a rule
+# that fails is a failure there and then, never applied twice.
 #
 # A try never fails, so a try that starts on a try frame replaces it.
 # When that frame holds the current term (by identity) and this try
@@ -316,6 +324,18 @@ def _execute(code, term, fuel, constr_sort, trace):
                     body = code[2]
                     fallback = code[3]
                     if len(ch) == 1:
+                        if body is code and fallback is not None:  # once_bu down a spine
+                            cost = code[1]
+                            while True:
+                                append((5, fallback, t))
+                                t = ch[0]
+                                ch = t.children
+                                if len(ch) != 1:
+                                    break
+                                fuel -= cost
+                                if fuel < 0:
+                                    return None
+                            continue
                         # a node frame, or for a fused fallback a tuple frame
                         append(t if fallback is None else (5, fallback, t))
                     else:
@@ -333,12 +353,40 @@ def _execute(code, term, fuel, constr_sort, trace):
                 if not ch:
                     val = t
                     break
-                if len(ch) == 1:
-                    append(t)  # a node frame
-                else:
+                body = code[2]
+                if len(ch) != 1:
                     # frame layout: [tag, body, node, idx, *rebuilt children]
-                    append([2, code[2], t, 0])
-                code = code[2]
+                    append([2, body, t, 0])
+                elif body[0] == 7 and body[6] is code:  # full_td down a spine
+                    cost, sort, rule, unit = body[1], body[3], body[4], code[1]
+                    while True:
+                        append(t)  # a node frame
+                        t = ch[0]
+                        fuel -= cost
+                        if fuel < 0:
+                            return None
+                        if (t.sort if type(t) is lit_t else constr_sort[t.constr]) != sort:
+                            fuel += cost  # charged again at the loop head
+                            code = body
+                            break
+                        t = rule(t)
+                        if t is None:
+                            break
+                        if trace is not None:
+                            trace.update(body[5])
+                        ch = t.children
+                        if len(ch) != 1:
+                            break
+                        fuel -= unit
+                        if fuel < 0:
+                            return None
+                    if t is None:  # the rule failed
+                        val = failed
+                        break
+                    continue
+                else:
+                    append(t)  # a node frame
+                code = body
                 t = ch[0]
             elif op == 2:  # SEQ
                 append((0, code[3]))

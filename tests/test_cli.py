@@ -268,6 +268,15 @@ def test_a_loop_back_to_the_same_state_reports_the_whole_budget(fixtures_dir, tm
     assert result == Result(4, "DIVERGENT? steps=1000000\n", "")
 
 
+# each turn of these loops is one step down a one-child spine
+@pytest.mark.parametrize("main", ["full_td(adhoc(id, increment))", "innermost(adhoc(fail, increment))"])
+def test_a_descent_down_a_growing_spine_reports_the_whole_budget(fixtures_dir, tmp_path, main):
+    program = tmp_path / "descent.strat"
+    program.write_text(f"@infallible\nrule increment : Nat = n -> (Succ n)\nmain = {main}\n")
+    result = invoke(fixtures_dir, ["run", "nat_tree.sig", str(program), "terms/tree1.term"])
+    assert result == Result(4, "DIVERGENT? steps=1000000\n", "")
+
+
 def test_missing_file_is_a_usage_error(fixtures_dir):
     result = invoke(
         fixtures_dir,

@@ -6,8 +6,9 @@ instructions, so that it dispatches less often than it charges; it must
 still give, at every budget, the outcome, result term, trace and error
 that step_oracle.py gives. That is checked at every budget in a window
 of two steps around the exact step count, on generated closed
-strategies and on each fused shape by name, and pinned by a table of
-settling budgets taken from the machine before any fusion.
+strategies, on each fused shape by name and at each way a spine loop
+ends, and pinned by a table of settling budgets taken from the machine
+before any fusion.
 """
 
 import warnings
@@ -18,19 +19,22 @@ from hypothesis import strategies as st
 
 import step_oracle
 from genlib import nat, nat_composites, terms
-from stratkit.files import load_term
+from stratkit.files import load_term, parse_signature
 from stratkit.interp import (
     OP_ADHOC,
+    OP_ALL,
     OP_ONE,
     OP_TRY,
     OP_VAR,
     CompiledStrategy,
+    Failure,
     FuelExhausted,
     Success,
 )
 from stratkit.laws import builtin_rules, builtin_signature
 from stratkit.strategies import (
     FAIL,
+    GUARDS,
     ID,
     Adhoc,
     All,
@@ -38,6 +42,7 @@ from stratkit.strategies import (
     Choice,
     One,
     Rec,
+    RuleDef,
     RuleRef,
     Seq,
     Var,
@@ -53,7 +58,7 @@ from stratkit.strategies import (
     stop_td,
     try_,
 )
-from stratkit.terms import Node
+from stratkit.terms import Lit, Node, PVar
 
 SIG = builtin_signature()
 RULES = builtin_rules()
@@ -283,6 +288,80 @@ def test_literals_and_a_foreign_signature_are_step_exact(company_sig, fixtures_d
     for name in ("full_td", "full_bu", "once_bu", "stop_td", "innermost"):
         for adhoc in ADHOCS[:2]:
             assert_step_exact(SCHEMES[name](adhoc), c0, company_sig)
+
+
+# ---------------------------------------------------------------------------
+# full_td's and once_bu's loops down a one-child spine, at each way a spine ends
+
+SPINE_SIG = parse_signature(
+    """
+    sort Nat
+    sort Box
+    prim Int : int
+    Zero : -> Nat
+    Succ : Nat -> Nat
+    Pair : Nat * Nat -> Nat
+    Num : Int -> Nat
+    Unbox : Box -> Nat
+    Box : Nat -> Box
+    """
+)
+SAME = RuleDef("same", "Nat", PVar("n"), PVar("n"))
+POSITIVE = RuleDef("positive", "Int", PVar("n"), PVar("n"), guard="lit_positive")
+SPINE_RULES = (RULE["increment"], RULE["dropSucc"], RULE["atEven"], SAME, POSITIVE)
+SPINE_ENDS = {
+    "leaf": nat(5),
+    "lit": Node("Succ", (Node("Succ", (Node("Num", (Lit(3, "Int"),)),)),)),
+    "two children": Node("Succ", (Node("Succ", (Node("Pair", (nat(1), nat(0))),)),)),
+    "sort change": Node("Succ", (Node("Unbox", (Node("Box", (nat(2),)),)),)),
+    # atEven fires on Succ (Succ Zero) and fails on the Succ^3 below its result
+    "guard fails": Node("Box", (nat(2),)),
+    "undeclared": Node("Succ", (Node("Succ", (Node("Mystery", (ZERO,)),)),)),
+}
+
+
+def spine_loops(code):
+    """The full_td and once_bu instructions that loop down a spine."""
+    full = [i for i in instructions(code) if i[0] == OP_ALL and i[2][0] == OP_ADHOC and i[2][6] is i]
+    once = [i for i in instructions(code) if i[0] == OP_ONE and i[2] is i and i[3] is not None]
+    return full, once
+
+
+@pytest.mark.parametrize("scheme", ["full_td", "once_bu", "innermost"])
+@pytest.mark.parametrize("end", sorted(SPINE_ENDS))
+def test_the_spine_loops_are_step_exact_at_each_end(scheme, end):
+    t = SPINE_ENDS[end]
+    for default in (ID, FAIL):
+        for rule in SPINE_RULES:
+            s = SCHEMES[scheme](Adhoc(default, rule))
+            cs = CompiledStrategy(s, SPINE_SIG)
+            full, once = spine_loops(cs._code)
+            assert (len(full), len(once)) == ((1, 0) if scheme == "full_td" else (0, 1))
+            n = step_oracle.steps(s, t, SPINE_SIG, CAP)
+            mid = CAP if n is None else n
+            budgets = range(max(0, mid - 2), mid + 3)
+            assert_same_at(s, t, SPINE_SIG, budgets)
+            for fuel in budgets:  # and with no trace
+                want = outcome(step_oracle.run, s, t, SPINE_SIG, fuel)
+                assert outcome(cs.run, t, fuel) == want, fuel
+
+
+def test_a_rule_that_fails_down_the_spine_is_applied_once(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return GUARDS["even_nat"](t)
+
+    monkeypatch.setitem(GUARDS, "counting", counting)
+    at_even = RuleDef("atEven", "Nat", PVar("n"), RULE["atEven"].rhs, guard="counting")
+    s = full_td(Adhoc(ID, at_even))
+    t = SPINE_ENDS["guard fails"]
+    assert step_oracle.run(s, t, SPINE_SIG, CAP) == Failure()
+    want = len(calls)
+    del calls[:]
+    assert CompiledStrategy(s, SPINE_SIG).run(t, CAP) == Failure()
+    assert len(calls) == want == 2
 
 
 # ---------------------------------------------------------------------------
