@@ -400,6 +400,21 @@ def test_identity_child_step_returns_its_input(sig, combinator, t):
     assert evaluate(combinator(ID), t, sig).term is t
 
 
+#: returns its input object
+SAME = RuleDef("same", "Nat", PVar("n"), PVar("n"))
+
+
+@pytest.mark.parametrize(
+    "s, t",
+    [(Choice(One(ID), FAIL), nat(1)), (once_bu(Adhoc(FAIL, SAME)), nat(40))],
+    ids=["one(id) <+ fail", "once_bu down a chain"],
+)
+def test_fused_one_child_step_returns_its_input(sig, s, t):
+    # one(x) <+ s over a one-child node is one fused frame, and once_bu
+    # runs it in a loop down the chain
+    assert evaluate(s, t, sig).term is t
+
+
 def test_full_bu_id_over_a_deep_chain_returns_its_input(sig, chain):
     assert evaluate(full_bu(ID), chain, sig, fuel=10**7).term is chain
 
