@@ -28,8 +28,7 @@ machine dispatches less often than that. An instruction is a list
     that fails at once on another sort, so `r ; s` is fused the same way;
   - `one(x) <+ s`, the body of `once_bu`, is an `OP_ONE` with a
     fallback: one frame per level instead of a choice frame and a `one`
-    frame, a three-slot tuple over a unary node, which is rebuilt
-    without copying its children.
+    frame (see "Continuation frames").
 - Two of these call themselves: `once_bu`'s fused one, whose body is
   itself, and `full_td`'s `all(x)`, whose body is an adhoc whose next
   is this `all`. Down a spine of one-child nodes each runs in a loop of
@@ -204,7 +203,6 @@ class CompiledStrategy:
     """A closed strategy fixed to one signature, reusable across runs."""
 
     def __init__(self, strategy: Strategy, sig: Signature):
-        self.strategy = strategy
         self.sig = sig
         self._constr_sort = sig.constr_sort
         self._code = walk(_compile, strategy, {})
@@ -251,16 +249,24 @@ def evaluate(
 # in slot 0: 0 waits for a sequence's left result, 1 holds a choice's
 # fallback with the original term, 2 collects rebuilt children for all,
 # 3 walks the children of a node with several for one (and holds its
-# fallback, if fused), 4 holds a try's term and instruction, to return
-# the term for the unit of id when the body fails, and 5 holds a fused
-# `one(x) <+ s`'s fallback over a node's only child. Frames 2 and 3 are
-# lists advanced in place; every other frame is pushed once and popped
-# once. Over a node's only child, all and a plain one both pass a
-# failure on and otherwise rebuild, so the node itself is their frame:
-# a deep descent allocates no frame per level. full_td's spine loop
-# charges the adhoc before its sort lookup, as the loop head does; off
-# the rule's sort it hands the units back to the loop head, and a rule
-# that fails is a failure there and then, never applied twice.
+# fallback, if fused), and 4 holds a try's term and instruction, to
+# return the term for the unit of id when the body fails. Frames 2 and 3
+# are lists advanced in place; every other frame is pushed once and
+# popped once.
+#
+# Over a node's only child, all, one and a fused `one(x) <+ s` have one
+# continuation: a failure is passed on, or goes to the fallback, and a
+# result is the node itself if it is the child, else the node rebuilt
+# over it. For all and a plain one the node is the frame, so a deep
+# descent allocates no frame per level. A fused one pushes
+# (5, fallback, node), laid out as a choice frame: its result takes the
+# node frame's path, and is tested first as it is innermost's hot path,
+# and its failure takes the choice's.
+#
+# full_td's spine loop charges the adhoc before its sort lookup, as the
+# loop head does; off the rule's sort it hands the units back to the
+# loop head, and a rule that fails is a failure there and then, never
+# applied twice.
 #
 # A try never fails, so a try that starts on a try frame replaces it.
 # When that frame holds the current term (by identity) and this try
@@ -417,95 +423,83 @@ def _execute(code, term, fuel, constr_sort, trace):
             if not stack:
                 return val
             frame = pop()
-            if type(frame) is node_t:  # all or one over its only child
-                if val is frame.children[0]:
-                    val = frame
-                elif val is not failed:
-                    # terms._node(frame.constr, (val,)), inline
-                    node = new(node_t)
-                    node.constr = frame.constr
-                    node.children = (val,)
-                    node.depth = 1 + val.depth
-                    val = node
-                continue
-            k = frame[0]
-            if k == 5:  # fused one over its only child, then its fallback
-                node = frame[2]
-                if val is failed:
-                    code = frame[1]
-                    t = node
-                    break
-                if val is node.children[0]:
-                    val = node
-                else:
-                    # terms._node(node.constr, (val,)), inline
-                    constr = node.constr
-                    node = new(node_t)
-                    node.constr = constr
-                    node.children = (val,)
-                    node.depth = 1 + val.depth
-                    val = node
-                continue
-            if k == 3:  # searching children of one
-                node = frame[2]
-                idx = frame[3]
-                ch = node.children
-                if val is failed:
-                    idx += 1
-                    if idx < len(ch):
-                        frame[3] = idx
-                        append(frame)
-                        code = frame[1]
-                        t = ch[idx]
-                        break
-                    if frame[4] is None:
-                        continue
-                    code = frame[4]
-                    t = node
-                    break
-                if val is ch[idx]:
-                    val = node
-                else:
-                    rebuilt = list(ch)
-                    rebuilt[idx] = val
-                    val = node_of(node.constr, tuple(rebuilt))
-                continue
-            if k == 0:  # after left of a sequence
+            if type(frame) is node_t:
                 if val is failed:
                     continue
-                code = frame[1]
-                t = val
-                break
-            if k == 4:  # try: id on the original term
-                if val is failed:
-                    fuel -= 1
-                    if fuel < 0:
-                        return None
-                    val = frame[1]
-                continue
-            if k == 1:  # choice fallback
-                if val is failed:
-                    code = frame[1]
-                    t = frame[2]
-                    break
-                continue
-            # k == 2: collecting children of all
-            if val is failed:
-                continue
-            frame.append(val)
-            node = frame[2]
-            idx = frame[3] + 1
-            ch = node.children
-            if idx == len(ch):
-                for i, c in enumerate(ch):
-                    if frame[4 + i] is not c:
-                        val = node_of(node.constr, tuple(frame[4:]))
+            else:
+                k = frame[0]
+                if k == 5 and val is not failed:
+                    frame = frame[2]  # the fused one's node, as a node frame
+                elif k == 3:  # searching children of one
+                    node = frame[2]
+                    idx = frame[3]
+                    ch = node.children
+                    if val is failed:
+                        idx += 1
+                        if idx < len(ch):
+                            frame[3] = idx
+                            append(frame)
+                            code = frame[1]
+                            t = ch[idx]
+                            break
+                        if frame[4] is None:
+                            continue
+                        code = frame[4]
+                        t = node
                         break
-                else:
-                    val = node
-                continue
-            frame[3] = idx
-            append(frame)
-            code = frame[1]
-            t = ch[idx]
-            break
+                    if val is ch[idx]:
+                        val = node
+                    else:
+                        rebuilt = list(ch)
+                        rebuilt[idx] = val
+                        val = node_of(node.constr, tuple(rebuilt))
+                    continue
+                elif k == 0:  # after left of a sequence
+                    if val is failed:
+                        continue
+                    code = frame[1]
+                    t = val
+                    break
+                elif k == 4:  # try: id on the original term
+                    if val is failed:
+                        fuel -= 1
+                        if fuel < 0:
+                            return None
+                        val = frame[1]
+                    continue
+                elif k == 2:  # collecting children of all
+                    if val is failed:
+                        continue
+                    frame.append(val)
+                    node = frame[2]
+                    idx = frame[3] + 1
+                    ch = node.children
+                    if idx == len(ch):
+                        for i, c in enumerate(ch):
+                            if frame[4 + i] is not c:
+                                val = node_of(node.constr, tuple(frame[4:]))
+                                break
+                        else:
+                            val = node
+                        continue
+                    frame[3] = idx
+                    append(frame)
+                    code = frame[1]
+                    t = ch[idx]
+                    break
+                else:  # a choice's fallback, or a fused one's after a failure
+                    if val is failed:
+                        code = frame[1]
+                        t = frame[2]
+                        break
+                    continue
+            # all, one or a fused one over its only child, after a success
+            if val is frame.children[0]:
+                val = frame
+            else:
+                # terms._node(frame.constr, (val,)), inline
+                node = new(node_t)
+                node.constr = frame.constr
+                node.children = (val,)
+                node.depth = 1 + val.depth
+                val = node

@@ -46,6 +46,7 @@ from stratkit.strategies import (
     try_,
 )
 from stratkit.terms import Lit, Node, PNode, PVar, sort_of, validate_term
+from test_fuel import SAME
 
 FAILED = object()
 
@@ -398,10 +399,6 @@ def test_growing_full_td_holds_little_beyond_its_terms(sig, rules):
 @pytest.mark.parametrize("combinator", [All, One])
 def test_identity_child_step_returns_its_input(sig, combinator, t):
     assert evaluate(combinator(ID), t, sig).term is t
-
-
-#: returns its input object
-SAME = RuleDef("same", "Nat", PVar("n"), PVar("n"))
 
 
 @pytest.mark.parametrize(
