@@ -438,6 +438,44 @@ def test_an_unknown_constructor_is_a_signature_error(company_sig):
     assert run_query(company_sig, q, salary, MONOIDS["max"]) == 2.5
 
 
+def test_collection_is_exact_on_unvalidated_terms(company_sig):
+    # the list monoid takes every extraction and shows every hit, in order
+    listed = MONOIDS["list"]
+    bogus = Node("Bogus")
+    # as the manager's salary, the first salary in preorder
+    boss = Node("Employee", (Lit("m", "Name"), bogus))
+    as_salary = company([department("R", boss, [unit_of(employee("a", 10.0))])])
+    # as the tail of a unit list, where no employee earns 10.0
+    dept = department("R", employee("m", 100.0), [unit_of(employee("b", 20.0))])
+    name, mgr, units = dept.children
+    units = Node("Cons_Unit", (units.children[0], bogus))
+    in_tail = company([Node("Department", (name, mgr, units))])
+    for t, body in (
+        (as_salary, AdhocQ(FailQ(), GETSAL)),
+        (as_salary, AdhocQ(FailQ(), TENS)),
+        (in_tail, AdhocQ(FailQ(), TENS)),
+        (in_tail, ChoiceQ(AdhocQ(FailQ(), TENS), FailQ())),
+    ):
+        for scheme in (FullCl, StopCl, OnceCl):
+            with pytest.raises(SignatureError) as exc:
+                run_query(company_sig, scheme(body), t, listed)
+            assert str(exc.value) == "unknown constructor 'Bogus'"
+    # an Employee where a Salary belongs is dispatched on its own sort,
+    # as the reference does
+    nested = Node("Employee", (Lit("x", "Name"), employee("y", 5.0)))
+    ill_sorted = company([department("R", nested, [unit_of(employee("a", 10.0))])])
+    for body in (
+        AdhocQ(FailQ(), GETSAL),
+        AdhocQ(FailQ(), EMPSAL),
+        AdhocQ(AdhocQ(FailQ(), EMPSAL), MGRZERO),
+        ChoiceQ(AdhocQ(FailQ(), MGRZERO), AdhocQ(FailQ(), GETSAL)),
+    ):
+        for scheme in (FullCl, StopCl, OnceCl):
+            q = scheme(body)
+            want = ref_query(company_sig, q, ill_sorted, listed)
+            assert repr(run_query(company_sig, q, ill_sorted, listed)) == repr(want)
+
+
 def test_pairing_needs_a_result_on_both_sides(company_sig):
     one = ConstQ(1.0)
     for q in (BothQ(one, FailQ()), BothQ(FailQ(), one)):
