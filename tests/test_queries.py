@@ -31,6 +31,7 @@ from stratkit.queries import (
     compile_query,
     get_monoid,
     run_query,
+    yield_sorts,
 )
 from stratkit.terms import (
     Lit,
@@ -233,6 +234,20 @@ def test_engine_agrees_with_reference(company_sig, data):
             want = ref_query(company_sig, q, x, monoid)
             # repr tells 1 from 1.0, and the printed terms of a list apart
             assert repr(run(x)) == repr(want)
+
+
+@given(data=st.data())
+def test_no_result_outside_the_yield_sorts(company_sig, data):
+    # the static fact the collection plans rest on, against the reference
+    t = data.draw(companies)
+    for name in sorted(MONOIDS):
+        monoid = MONOIDS[name]
+        q = data.draw(queries_for(name), label=name)
+        sorts = yield_sorts(company_sig, q)
+        for x in (t, C0):
+            for sub in subterms(x):
+                if sort_of(company_sig, sub) not in sorts:
+                    assert ref_query(company_sig, q, sub, monoid) is NO_RESULT
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +461,9 @@ def test_collection_is_exact_on_unvalidated_terms(company_sig):
     boss = Node("Employee", (Lit("m", "Name"), bogus))
     as_salary = company([department("R", boss, [unit_of(employee("a", 10.0))])])
     # as the tail of a unit list, where no employee earns 10.0
-    dept = department("R", employee("m", 100.0), [unit_of(employee("b", 20.0))])
-    name, mgr, units = dept.children
-    units = Node("Cons_Unit", (units.children[0], bogus))
-    in_tail = company([Node("Department", (name, mgr, units))])
+    units = Node("Cons_Unit", (unit_of(employee("b", 20.0)), bogus))
+    mgr = Node("Manager", (employee("m", 100.0),))
+    in_tail = company([Node("Department", (Lit("R", "Name"), mgr, units))])
     for t, body in (
         (as_salary, AdhocQ(FailQ(), GETSAL)),
         (as_salary, AdhocQ(FailQ(), TENS)),
@@ -515,3 +529,15 @@ def test_a_long_choice_chain_is_one_loop(company_sig, n):
     # the first alternative with a result wins
     first = ChoiceQ(ChoiceQ(FailQ(), ConstQ(1.0)), total)
     assert run_query(company_sig, first, C0, MONOIDS["float-sum"]) == 1.0
+    # inside each collection scheme, whose plan takes the chain's yield
+    # sorts on the same explicit-stack walk
+    getsal = AdhocQ(FailQ(), GETSAL)
+    right, left = getsal, FailQ()
+    for _ in range(n - 1):
+        right = ChoiceQ(FailQ(), right)
+        left = ChoiceQ(left, FailQ())
+    for scheme in (FullCl, StopCl, OnceCl):
+        want = ref_query(company_sig, scheme(getsal), C0, MONOIDS["list"])
+        for body in (right, ChoiceQ(left, getsal)):
+            assert yield_sorts(company_sig, body) == {"Salary"}
+            assert run_query(company_sig, scheme(body), C0, MONOIDS["list"]) == want
