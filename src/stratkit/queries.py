@@ -20,17 +20,17 @@ when it fires. `run_query` compiles and applies in one call.
 
 The collection schemes walk terms with an explicit stack; host
 recursion depth stays proportional to the query expression, never the
-term. They call their body only where it may yield: `yield_sorts`, a
-step on the same walk, gives the sorts on which a query may yield
-(none for `failq`, its cases' and its default's for `adhocq`, the
-union for `<+q`, the intersection for `bothq`, every sort otherwise),
-and at compile time each scheme turns them into a plan keyed by
-constructor and by literal sort, holding for an `adhocq` body the case
-it runs there. A constructor missing from the plan runs the body, so an
-unknown one is the same SignatureError as without the plan. The
-descent is deliberately not pruned below sorts from which no case is
-reachable: that hit test (Uniplate's) is exact only on validated terms,
-and `run_query` does not require one.
+term. They call their body only where it may yield or fire a case:
+`yield_sorts`, a step on the same walk, gives those sorts (none for
+`failq`, its cases' and its default's for `adhocq`, the union for
+`<+q`, the left side's for `bothq`, whose left side runs wherever it
+does, and every sort otherwise), and at compile time each scheme turns
+them into a plan: the constructors and literal sorts at which the body
+is not called. A constructor missing from the signature is not in the
+plan, so the body runs there and raises the same SignatureError as
+without it. The descent is deliberately not pruned below sorts from
+which no case is reachable: that hit test (Uniplate's) is exact only on
+validated terms, and `run_query` does not require one.
 """
 
 from __future__ import annotations
@@ -254,8 +254,6 @@ def _compile(q: QueryExpr, sig: Signature, monoid: MonoidSpec):
                 sort = symbol(t.constr).result_sort
             return case_for(sort, default)(t)
 
-        # what adhoc runs at a term of a given sort, for a collection's plan
-        adhoc.at_sort = lambda sort: case_for(sort, default)
         return adhoc
     if isinstance(q, ChoiceQ):
         # left-biased choice is associative, so a chain nested either
@@ -315,18 +313,14 @@ def _compile(q: QueryExpr, sig: Signature, monoid: MonoidSpec):
     # unit, so collection is total
     prune = not isinstance(q, FullCl)
     first = isinstance(q, OnceCl)
-    # The plan: per constructor and per literal sort, what the body runs
-    # at a term of that sort, or None where it gives no result. A miss
-    # runs the body, which raises SignatureError on an unknown
-    # constructor. It skips calls, never descents.
+    # The plan: the constructors and literal sorts at which the body
+    # gives NO_RESULT without firing a case. Elsewhere, an unknown
+    # constructor included, the body runs, so a SignatureError or a
+    # KindError is raised where it was without the plan. It skips calls,
+    # never descents.
     sorts = yield_sorts(sig, q.body)
-    at_sort = getattr(body, "at_sort", lambda s: body)
-
-    def plan(sort_of_key):
-        return {k: at_sort(s) if s in sorts else None for k, s in sort_of_key}.get
-
-    node_step = plan(sig.constr_sort.items())
-    lit_step = plan((s, s) for s in sig.prim_sorts)
+    quiet = frozenset(c for c, s in sig.constr_sort.items() if s not in sorts)
+    quiet_lits = frozenset(s for s in sig.prim_sorts if s not in sorts)
 
     def collect(t):
         hits = []
@@ -334,19 +328,18 @@ def _compile(q: QueryExpr, sig: Signature, monoid: MonoidSpec):
         while stack:
             x = stack.pop()
             if type(x) is Lit:
-                run = lit_step(x.sort, body)
-                if run is None:  # a leaf with nothing to collect
+                if x.sort in quiet_lits:  # a leaf with nothing to collect
                     continue
-            else:
-                run = node_step(x.constr, body)
-            if run is not None:
-                r = run(x)
-                if r is not NO_RESULT:
-                    if first:
-                        return r
-                    hits.append(r)
-                    if prune:
-                        continue
+            elif x.constr in quiet:
+                stack.extend(reversed(x.children))
+                continue
+            r = body(x)
+            if r is not NO_RESULT:
+                if first:
+                    return r
+                hits.append(r)
+                if prune:
+                    continue
             if x.children:
                 stack.extend(reversed(x.children))
         return NO_RESULT if first else fold(hits)
@@ -355,9 +348,10 @@ def _compile(q: QueryExpr, sig: Signature, monoid: MonoidSpec):
 
 
 def yield_sorts(sig: Signature, q: QueryExpr) -> frozenset:
-    """The sorts at which q may yield a value: at a term of any other
-    sort (its constructor's result sort, or a literal's tag) q gives
-    NO_RESULT. Every sort of sig where q may yield anywhere."""
+    """The sorts at which q may yield a value or fire a case: at a term
+    of any other sort (its constructor's result sort, or a literal's
+    tag) q gives NO_RESULT and raises nothing. Every sort of sig where q
+    may yield anywhere."""
     return walk(_yield_sorts, q, sig.sorts)
 
 
@@ -369,7 +363,10 @@ def _yield_sorts(q: QueryExpr, every: frozenset):
     if isinstance(q, ChoiceQ):
         return (yield q.left, every) | (yield q.right, every)
     if isinstance(q, BothQ):
-        return (yield q.left, every) & (yield q.right, every)
+        # the left side runs wherever the pair does, and a case it fires
+        # may raise KindError even where the right side gives nothing;
+        # the right side runs only where the left yields
+        return (yield q.left, every)
     return every
 
 

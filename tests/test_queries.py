@@ -250,6 +250,77 @@ def test_no_result_outside_the_yield_sorts(company_sig, data):
                     assert ref_query(company_sig, q, sub, monoid) is NO_RESULT
 
 
+#: collection bodies built from the combinators whose yield sorts are
+#: not every sort, with cases of every kind, so a case may fire and not
+#: fit the monoid
+plan_bodies = st.recursive(
+    st.sampled_from((FailQ(), ConstQ(UNIT))),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from(KIND_CASES["list"])).map(
+            lambda p: AdhocQ(*p)
+        ),
+        st.tuples(sub, sub).map(lambda p: BothQ(*p)),
+        st.tuples(sub, sub).map(lambda p: ChoiceQ(*p)),
+    ),
+    max_leaves=6,
+)
+
+
+def body_everywhere(sig, q, t, monoid):
+    """Collection scheme q at t with its body called at every node the
+    walk reaches, whatever its sort: the value, or the KindError of the
+    first case that fires with an extraction outside the monoid."""
+    body = compile_query(sig, q.body, monoid)
+    hits = []
+
+    def visit(x):  # False once once_cl has its value
+        r = body(x)
+        if r is not NO_RESULT:
+            hits.append(r)
+            if type(q) is not FullCl:
+                return type(q) is StopCl
+        return all(visit(c) for c in x.children)
+
+    try:
+        visit(t)
+    except KindError as e:
+        return e
+    if type(q) is OnceCl:
+        return hits[0] if hits else NO_RESULT
+    return monoid.fold(hits)
+
+
+@given(data=st.data())
+def test_collection_calls_the_body_wherever_it_may_fire(company_sig, data):
+    t = data.draw(companies)
+    scheme = data.draw(st.sampled_from((FullCl, StopCl, OnceCl)))
+    for name in sorted(MONOIDS):
+        monoid = MONOIDS[name]
+        q = scheme(data.draw(plan_bodies, label=name))
+        run = compile_query(company_sig, q, monoid)
+        for x in (t, C0):
+            try:
+                got = run(x)
+            except KindError as e:
+                got = e
+            assert repr(got) == repr(body_everywhere(company_sig, q, x, monoid))
+
+
+def test_a_pair_reports_its_left_case_where_the_right_gives_nothing(company_sig):
+    # both() runs its left side first, so a left case that fires reports
+    # an extraction outside the monoid even where the pair has no value
+    float_sum = MONOIDS["float-sum"]
+    whole = AdhocQ(FailQ(), WHOLE)
+    for body in (BothQ(whole, FailQ()), BothQ(whole, AdhocQ(FailQ(), MGRZERO))):
+        for scheme in (FullCl, StopCl, OnceCl):
+            with pytest.raises(KindError) as exc:
+                run_query(company_sig, scheme(body), C0, float_sum)
+            assert str(exc.value) == (
+                'case \'whole\' extracted (Employee "m":Name 100.0:Salary), '
+                "which does not fit monoid 'float-sum'"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Closed-form oracles
 
