@@ -6,14 +6,15 @@ here is iterative where it walks a term: the engine guarantees terms of
 depth 100k+ work, and CPython's recursion limit would kill a recursive
 equality or tally long before that.
 
-Nodes precompute only their depth at construction. Construction is
-bottom-up (children exist before the parent), so that is O(1) per node
-and never recurses. `hash` walks the whole term on each call.
-`Node(...)` is the public constructor and accepts any iterable of
-children. The paths that build a node per step (rewriting and the term
-reader) use `_node`, which takes a tuple and skips the class call; the
-interpreter's unary rebuilds and `compile_rewrite`'s `n -> C(n)` write
-its slot stores inline.
+A node holds only its constructor and its children. A slot for a
+derived fact is paid for by every node built, in memory and in
+construction time, whether the fact is read or not; so `depth` and
+`hash` walk the whole term on each call. `Node(...)` is the public
+constructor and accepts any iterable of children. The paths that build
+a node per step (rewriting and the term reader) use `_node`, which
+takes a tuple and skips the class call; the interpreter's unary
+rebuilds and `compile_rewrite`'s `n -> C(n)` write its two slot stores
+inline.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class Term:
 
     # Uniform child access; Node overrides with an instance slot.
     children: tuple = ()
-    depth: int = 1
 
     __eq__ = term_eq
 
@@ -93,7 +93,7 @@ class Term:
 class Node(Term):
     """A constructor applied to zero or more child terms."""
 
-    __slots__ = ("constr", "children", "depth")
+    __slots__ = ("constr", "children")
 
     def __init__(self, constr: str, children=()):
         # Any iterable of children. Rewriting builds its nodes with
@@ -102,13 +102,6 @@ class Node(Term):
             children = tuple(children)
         self.constr = constr
         self.children = children
-        n = len(children)
-        if n == 1:
-            self.depth = 1 + children[0].depth
-        elif n == 0:
-            self.depth = 1
-        else:
-            self.depth = 1 + max([c.depth for c in children])
 
 
 _new = object.__new__
@@ -118,14 +111,11 @@ def _node(constr: str, children: tuple) -> Node:
     """Node(constr, children) for a tuple of children, without the
     class call and `__init__`, for the paths that build a node per
     rewriting step. The interpreter's unary rebuilds and
-    `compile_rewrite`'s `n -> C(n)` applier write these stores inline."""
+    `compile_rewrite`'s `n -> C(n)` applier write its two slot stores
+    inline."""
     node = _new(Node)
     node.constr = constr
     node.children = children
-    if len(children) == 1:
-        node.depth = 1 + children[0].depth
-    else:
-        node.depth = 1 + max([c.depth for c in children]) if children else 1
     return node
 
 
@@ -141,7 +131,15 @@ class Lit(Term):
 
 def depth(t: Term) -> int:
     """1 for leaves, 1 + max child depth otherwise."""
-    return t.depth
+    most = 0
+    stack = [(t, 1)]
+    while stack:
+        x, d = stack.pop()
+        if d > most:
+            most = d
+        d += 1
+        stack.extend([(c, d) for c in x.children])
+    return most
 
 
 def count(constr: str, t: Term) -> int:
@@ -269,7 +267,6 @@ def compile_rewrite(
                 node = new(node_t)
                 node.constr = constr
                 node.children = (t,)
-                node.depth = 1 + t.depth
                 return node
 
             return wrap

@@ -24,7 +24,7 @@ from stratkit.strategies import (
     rule_seq,
 )
 from stratkit.errors import TermError
-from stratkit.terms import Lit, Node, PLit, PVar, sort_of, subterms
+from stratkit.terms import Lit, Node, PLit, PVar, sort_of
 
 
 def instantiate(p, subst):
@@ -62,14 +62,6 @@ def naive_depth(t):
     if not t.children:
         return 1
     return 1 + max(naive_depth(c) for c in t.children)
-
-
-def assert_depths(t):
-    """Every subterm of t holds the depth naive_depth gives. Equality
-    and hash ignore depth, so only this sees a construction path that
-    stores a wrong one or leaves the slot unset."""
-    for x in subterms(t):
-        assert x.depth == naive_depth(x), x
 
 
 def ref_match(p, t, binding=None):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genlib import assert_depths, nat, nat_trees, terms
+from genlib import nat, nat_trees, terms
 from stratkit.errors import ParseError
 from stratkit.files import parse_signature, parse_term, term_to_sexpr
 from stratkit.terms import Lit, Node, sort_of, validate_term
@@ -92,7 +92,6 @@ lit_terms = st.recursive(
 def test_roundtrip_print_then_parse(t):
     back = parse_term(term_to_sexpr(t))
     assert back == t
-    assert_depths(back)
 
 
 def test_parse_accepts_bare_nullary_shorthand():

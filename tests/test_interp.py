@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genlib import apply_rule, assert_depths, nat, nat_composites, strategy_exprs, terms
+from genlib import apply_rule, nat, nat_composites, strategy_exprs, terms
 from stratkit.errors import EngineError, SignatureError, TermError
 from stratkit.interp import (
     DEFAULT_FUEL,
@@ -190,7 +190,6 @@ def assert_same(outcome, want):
     else:
         assert isinstance(outcome, Success)
         assert outcome.term == want
-        assert_depths(outcome.term)
 
 
 # ---------------------------------------------------------------------------

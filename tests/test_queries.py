@@ -135,7 +135,9 @@ CONSTANTS = {
 
 def queries_for(name):
     """Queries under monoid `name`, the cases of its kind mixed freely,
-    so chains of cases on one sort are drawn too."""
+    so chains of cases on one sort are drawn too. A pair or a choice
+    often has a case on its left, so collection bodies meet a left side
+    that yields on one sort only."""
     cases = st.sampled_from(KIND_CASES[MONOIDS[name].kind])
     return st.recursive(
         st.one_of(
@@ -146,6 +148,9 @@ def queries_for(name):
         lambda sub: st.one_of(
             st.tuples(sub, sub).map(lambda p: BothQ(*p)),
             st.tuples(sub, sub).map(lambda p: ChoiceQ(*p)),
+            st.tuples(st.sampled_from((BothQ, ChoiceQ)), sub, cases, sub).map(
+                lambda p: p[0](AdhocQ(p[1], p[2]), p[3])
+            ),
             sub.map(AllQ),
             st.tuples(sub, cases).map(lambda p: AdhocQ(*p)),
             sub.map(FullCl),

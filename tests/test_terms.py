@@ -6,6 +6,7 @@ obviously-correct spelling but die on deep terms, which is exactly why
 the library versions are iterative.
 """
 
+import struct
 import sys
 import tracemalloc
 
@@ -36,7 +37,6 @@ from stratkit.terms import (
 
 from genlib import (
     apply_rule,
-    assert_depths,
     instantiate,
     naive_depth,
     nat,
@@ -160,6 +160,21 @@ def test_terms_carry_no_per_node_hash():
     assert _bytes_kept(lambda: [Lit(i + 0.5, "Salary") for i in range(n)]) / n < 100
 
 
+def test_terms_carry_no_per_node_depth():
+    assert Node.__slots__ == ("constr", "children")
+    assert not hasattr(Node("Zero"), "depth")
+    assert not hasattr(Lit(1, "S"), "depth")
+
+    class TwoSlots:
+        __slots__ = ("a", "b")
+
+    # a chain link is a two-slot object and a 1-tuple, sized on the
+    # running interpreter; one more slot, a pointer, does not fit
+    link = sys.getsizeof(TwoSlots()) + sys.getsizeof((None,))
+    n = 100_000
+    assert _bytes_kept(lambda: nat(n)) / n < link + struct.calcsize("P")
+
+
 # ---------------------------------------------------------------------------
 # Matching and instantiation
 
@@ -239,7 +254,7 @@ def _patterns(names):
     )
 
 
-_guards = st.sampled_from([None, lambda t: t.depth % 2 == 0, *GUARDS.values()])
+_guards = st.sampled_from([None, lambda t: depth(t) % 2 == 0, *GUARDS.values()])
 
 
 @given(st.data())
@@ -267,8 +282,6 @@ def test_compile_rewrite_agrees_with_match_and_instantiate(data):
         got = rewrite(t)
         # repr tells a literal 1 from 1.0
         assert repr(got) == repr(want)
-        if got is not None:
-            assert_depths(got)
 
 
 _SMALL_SIG = Signature(
