@@ -21,7 +21,7 @@ from .dsl import load_program, load_query_program
 from .errors import SignatureError, StratkitError
 from .files import load_term, term_to_sexpr
 from .interp import DEFAULT_FUEL, Failure, FuelExhausted, Success, evaluate
-from .queries import NO_RESULT, check_query_kinds, get_monoid, MONOIDS, run_query
+from .queries import NO_RESULT, get_monoid, MONOIDS, run_query
 from .terms import validate_term
 
 
@@ -48,9 +48,8 @@ def query(args) -> int:
     t = load_term(args.term)
     validate_term(qprog.signature, t)
     monoid = get_monoid(args.monoid)
-    check_query_kinds(qprog.main, monoid)
-    # whole-term extractions are only kind-checked against the monoid
-    # once the extracted value exists
+    # constants are kind-checked as the query compiles, whole-term
+    # extractions only once the extracted value exists
     result = run_query(qprog.signature, qprog.main, t, monoid)
     if result is NO_RESULT:
         print("NO-RESULT")

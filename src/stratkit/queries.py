@@ -16,7 +16,8 @@ alternatives. A case is the rewrite `terms.compile_rewrite` builds for
 strategy rules, followed by reading the value off its result: an
 extraction using a variable the case does not bind is a TermError at
 compile time, and one that does not fit the monoid raises KindError
-when it fires. `run_query` compiles and applies in one call.
+when it fires, as a constant that does not fit does at compile time.
+`run_query` compiles and applies in one call.
 
 The collection schemes walk terms with an explicit stack; host
 recursion depth stays proportional to the query expression, never the
@@ -186,18 +187,25 @@ class OnceCl:
 QueryExpr = ConstQ | FailQ | BothQ | ChoiceQ | AllQ | AdhocQ | FullCl | StopCl | OnceCl
 
 
+def _constant(value, monoid: MonoidSpec):
+    """The value a query constant stands for under monoid; KindError if
+    it does not fit the monoid's kind."""
+    if value is UNIT:
+        return monoid.unit
+    if not monoid.accepts(value):
+        raise KindError(f"constant {value!r} does not fit monoid {monoid.name!r}")
+    return value
+
+
 def check_query_kinds(q: QueryExpr, monoid: MonoidSpec) -> None:
-    """Load-time check of every constant against the monoid's kind.
+    """KindError for the first constant in reading order that does not
+    fit the monoid's kind: compile_query's check, without compiling.
     Extraction results can only be checked when a term is at hand."""
     stack = [q]
     while stack:
         node = stack.pop()
         if isinstance(node, ConstQ):
-            if node.value is not UNIT and not monoid.accepts(node.value):
-                raise KindError(
-                    f"constant {node.value!r} does not fit monoid "
-                    f"{monoid.name!r}"
-                )
+            _constant(node.value, monoid)
         elif isinstance(node, (BothQ, ChoiceQ)):
             # left on top: the first constant in reading order is named
             stack.append(node.right)
@@ -227,7 +235,7 @@ def compile_query(sig: Signature, q: QueryExpr, monoid: MonoidSpec):
 
 def _compile(q: QueryExpr, sig: Signature, monoid: MonoidSpec):
     if isinstance(q, ConstQ):
-        value = monoid.unit if q.value is UNIT else q.value
+        value = _constant(q.value, monoid)
         return lambda t: value
     if isinstance(q, FailQ):
         return lambda t: NO_RESULT

@@ -67,7 +67,16 @@ string_bodies = st.lists(
     max_size=4,
 ).map("".join)
 string_tags = st.sampled_from(
-    [":Name", " :Name", "\n:Name", " ; c\n:Name", ":N;x", ":"]
+    [
+        ":Name",
+        " :Name",
+        "\n:Name",
+        " ; c\n:Name",
+        " ; a:b\n:Name",
+        "\r\n:Name",
+        ":N;x",
+        ":",
+    ]
 )
 string_lits = st.tuples(string_bodies, string_tags).map(lambda p: f'"{p[0]}"{p[1]}')
 leaves = st.one_of(
@@ -75,9 +84,11 @@ leaves = st.one_of(
 )
 texts = st.recursive(
     leaves,
-    lambda kids: st.tuples(names, st.lists(st.tuples(seps, kids), max_size=3)).map(
-        lambda p: f"({p[0]}" + "".join(s + k for s, k in p[1]) + ")"
-    ),
+    lambda kids: st.tuples(
+        st.one_of(st.just(""), seps),
+        names,
+        st.lists(st.tuples(seps, kids), max_size=3),
+    ).map(lambda p: f"({p[0]}{p[1]}" + "".join(s + k for s, k in p[2]) + ")"),
     max_leaves=12,
 )
 framed = st.tuples(
@@ -133,6 +144,10 @@ NESTED_LINES = "".join(
         '"abc"\n; why\n:Name',
         '"abc" :',
         '"abc" Name',
+        # a `:` in a comment between a string and its tag is not the tag
+        '"abc" ; see :Name',
+        '"abc" ; a:b\n:Name',
+        '(W "x" ; k:\n)',
         # `;` and `"` after an atom's first character
         '(A;b q"x "y":S;z)',
         'a"b',
@@ -149,6 +164,11 @@ NESTED_LINES = "".join(
         "(",
         "( ; c\n Succ)",
         "( ; c\n 1:Num)",
+        # an atom in a comment between '(' and its constructor is not it
+        '( ; (x:y "q\n Succ Zero)',
+        "( ;c",
+        "( \t; a(b\n\tSucc (Zero))",
+        "(\r\nSucc Zero)",
         '("a":S)',
         "(Zero) (Zero)",
         "(Zero) (Zero",

@@ -465,6 +465,25 @@ def test_constants_are_checked_at_load_time():
     assert str(exc.value) == "constant 3 does not fit monoid 'list'"
 
 
+def test_constants_are_checked_where_they_compile(company_sig):
+    # the library path reports what check_query_kinds reports
+    cases = [
+        (ConstQ(1.5), "int-sum", "constant 1.5 does not fit monoid 'int-sum'"),
+        (FullCl(ConstQ(1.5)), "int-sum", "constant 1.5 does not fit monoid 'int-sum'"),
+        (FullCl(ConstQ(2)), "list", "constant 2 does not fit monoid 'list'"),
+    ]
+    for q, name, message in cases:
+        with pytest.raises(KindError) as exc:
+            check_query_kinds(q, MONOIDS[name])
+        assert str(exc.value) == message
+        with pytest.raises(KindError) as exc:
+            compile_query(company_sig, q, MONOIDS[name])
+        assert str(exc.value) == message
+        with pytest.raises(KindError) as exc:
+            run_query(company_sig, q, C0, MONOIDS[name])
+        assert str(exc.value) == message
+
+
 def test_extractions_are_checked_at_run_time(company_sig):
     q = OnceCl(AdhocQ(FailQ(), WHOLE))  # extracts a Node, not a Lit
     run = compile_query(company_sig, q, MONOIDS["float-sum"])
